@@ -129,6 +129,11 @@ func BenchmarkKVGetParallel(b *testing.B)       { runGroup(b, "BenchmarkKVGetPar
 func BenchmarkZipfianNext(b *testing.B)         { runGroup(b, "BenchmarkZipfianNext") }
 func BenchmarkHLCNow(b *testing.B)              { runGroup(b, "BenchmarkHLCNow") }
 
+// Replica apply: one version merged into a stored sibling set, put to
+// the engine and folded into the anti-entropy Merkle trees
+// (internal/quorum).
+func BenchmarkReplicaApply(b *testing.B) { runGroup(b, "BenchmarkReplicaApply") }
+
 // Networked-runtime primitives: the per-message framing cost of the TCP
 // transport and the per-request placement cost of the consistent-hash
 // ring (internal/transport, internal/ring).

@@ -69,6 +69,7 @@ func All() []Benchmark {
 		Benchmark{Name: "BenchmarkKVGetParallel", F: kvGetParallel},
 		Benchmark{Name: "BenchmarkZipfianNext", F: zipfianNext},
 		Benchmark{Name: "BenchmarkHLCNow", F: hlcNow},
+		Benchmark{Name: "BenchmarkReplicaApply", F: replicaApply},
 	)
 	for _, size := range []int{64, 1024, 16384} {
 		size := size

@@ -226,9 +226,10 @@ func (e *Engine) Seq() uint64 {
 	return e.seq
 }
 
-// Put commits a new version of key and returns its sequence number.
+// Put commits a copy of value as a new version of key and returns its
+// sequence number.
 func (e *Engine) Put(key string, value []byte, meta any) uint64 {
-	return e.commit(key, storage.Version{Value: value, Meta: meta})
+	return e.commit(key, storage.Version{Value: bytes.Clone(value), Meta: meta})
 }
 
 // Delete commits a tombstone for key and returns its sequence number.

@@ -1,7 +1,6 @@
 package quorum
 
 import (
-	"hash/fnv"
 	"sync/atomic"
 
 	"repro/internal/clock"
@@ -77,32 +76,39 @@ func (n *Node) tree(peer string) *storage.Merkle {
 	return t
 }
 
-// keyStateHash digests a key's full sibling set, so two replicas agree
-// on the hash iff they hold identical versions.
-func (n *Node) keyStateHash(key string) uint64 {
-	h := fnv.New64a()
-	for _, e := range n.localEntries(key) {
-		h.Write([]byte(e.DVV.Dot.Node))
-		var b [9]byte
+// entriesDigest is the FNV-1a hash of a sibling set's dots, tombstone
+// flags and values, so two replicas agree on it iff they hold identical
+// versions. Written out inline: the hot install path pays no allocation.
+func entriesDigest(es []clock.SiblingEntry[record]) uint64 {
+	const prime = 1099511628211
+	h := uint64(14695981039346656037)
+	for _, e := range es {
+		for i := 0; i < len(e.DVV.Dot.Node); i++ {
+			h = (h ^ uint64(e.DVV.Dot.Node[i])) * prime
+		}
 		for i := 0; i < 8; i++ {
-			b[i] = byte(e.DVV.Dot.Counter >> (8 * i))
+			h = (h ^ uint64(byte(e.DVV.Dot.Counter>>(8*i)))) * prime
 		}
+		var del uint64
 		if e.Value.Deleted {
-			b[8] = 1
+			del = 1
 		}
-		h.Write(b[:])
-		h.Write(e.Value.Value)
+		h = (h ^ del) * prime
+		for _, c := range e.Value.Value {
+			h = (h ^ uint64(c)) * prime
+		}
 	}
-	return h.Sum64()
+	return h
 }
 
-// noteKeyChanged refreshes the key's digest in every peer tree that
-// shares it. Call after any local sibling-set mutation.
-func (n *Node) noteKeyChanged(key string) {
+// noteKeyChanged sets key's digest, computed from es (the set just
+// installed), in every peer tree that shares the key. Caller holds the
+// key's shard lock, so digests land in install order.
+func (n *Node) noteKeyChanged(key string, es []clock.SiblingEntry[record]) {
 	if !n.cfg.AntiEntropy {
 		return
 	}
-	digest := n.keyStateHash(key)
+	digest := entriesDigest(es)
 	for _, rep := range n.PreferenceList(key) {
 		if rep != n.id {
 			n.tree(rep).Update(key, digest)
@@ -174,9 +180,6 @@ func (n *Node) applyAEEntries(domain int, entries []aeEntry) {
 		if !contains(n.PreferenceList(e.Key), n.id) {
 			continue // not a replica of this key; ignore
 		}
-		for _, s := range e.Entries {
-			n.installEntry(domain, e.Key, s)
-		}
-		n.noteKeyChanged(e.Key)
+		n.installEntries(domain, e.Key, e.Entries...)
 	}
 }

@@ -138,7 +138,7 @@ func (n *Node) geoFlush(env sim.Env) {
 
 // geoShipTo ships the next batch to peer, or resends the inflight
 // prefix after the retry deadline. Resends are safe: the receiver's
-// installEntry dedups by dot and the ack covers the whole prefix.
+// installEntries dedups by dot and the ack covers the whole prefix.
 func (n *Node) geoShipTo(env sim.Env, peer string) {
 	n.geoMu.Lock()
 	g := n.geoPeers[peer]
@@ -205,12 +205,8 @@ func (n *Node) geoBeacon(env sim.Env) {
 // handleGeoShip applies a cross-zone batch (or beacon) and advances the
 // source zone's high-water timestamp.
 func (n *Node) handleGeoShip(env sim.Env, from string, m geoShip) {
-	dom := execDomain(env)
 	for _, ae := range m.Items {
-		for _, e := range ae.Entries {
-			n.installEntry(dom, ae.Key, e)
-		}
-		n.noteKeyChanged(ae.Key)
+		n.installEntries(execDomain(env), ae.Key, ae.Entries...)
 	}
 	if m.Zone != "" {
 		n.geoMu.Lock()

@@ -3,13 +3,12 @@ package quorum
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
+	"errors"
 	"fmt"
-	"sort"
-	"sync"
 
 	"repro/internal/clock"
 	"repro/internal/storage"
+	"repro/internal/wire"
 )
 
 // Durability hooks. A quorum node's durable state is three maps: the
@@ -70,42 +69,29 @@ type transferDoneRec struct {
 	Start, End uint64
 }
 
-// quorumImage is the checkpoint payload, keys sorted for deterministic
-// iteration on restore.
-type quorumImage struct {
-	Keys      []string
-	Sets      [][]clock.SiblingEntry[record]
-	Minted    map[string]uint64
-	Hints     []hintRec
-	Transfers []transferDoneRec
-	GeoAcks   []geoAckRec
-}
-
-// Record framing. With the plain Persist hook records are bare gob, as
-// they always were. With PersistAt, every record gains a one-byte magic
-// plus, for key-addressed records, the key's 64-bit shard hash — so
-// parallel replay can route a raw record to its shard in O(1) without
-// decoding it (see ReplayDomain). The magic bytes sit in a range a gob
-// stream's leading length byte can never occupy, letting replay fall
-// back to bare-gob decoding for journals written before sharding.
+// Record layout. Every record is a one-byte magic, for key-addressed
+// records the key's 64-bit shard hash — so parallel replay can route a
+// raw record to its shard in O(1) without decoding it (see ReplayDomain)
+// — and then the record itself: a uvarint tag naming the set field,
+// followed by that field's members in the wire codec's layout.
 const (
-	recMagicKeyed  = 0xEC // [magic][8-byte LE key hash][gob]
-	recMagicSerial = 0xED // [magic][gob]
+	recMagicKeyed  = 0xEC // [magic][8-byte LE key hash][tag][fields]
+	recMagicSerial = 0xED // [magic][tag][fields]
 )
 
-// frameRecord wraps an encoded record with its replay-routing header.
-func frameRecord(keyed bool, hash uint64, gobBytes []byte) []byte {
-	if !keyed {
-		return append([]byte{recMagicSerial}, gobBytes...)
-	}
-	out := make([]byte, 9, 9+len(gobBytes))
-	out[0] = recMagicKeyed
-	binary.LittleEndian.PutUint64(out[1:9], hash)
-	return append(out, gobBytes...)
-}
+// walRecord tags, one per field.
+const (
+	recEntry uint64 = 1 + iota
+	recHint
+	recHintAck
+	recMint
+	recTransferDone
+	recGeoAck
+)
 
 // recordKey returns the routing key of a record, or "" for records bound
-// to the serial domain (transfer completions are epoch-, not key-scoped).
+// to the serial domain (transfer completions are epoch-, geo acks
+// peer-scoped).
 func (r walRecord) recordKey() (string, bool) {
 	switch {
 	case r.Entry != nil:
@@ -120,11 +106,95 @@ func (r walRecord) recordKey() (string, bool) {
 	return "", false
 }
 
+// appendRecord frames and encodes r.
+func appendRecord(dst []byte, r walRecord) []byte {
+	if key, keyed := r.recordKey(); keyed {
+		dst = append(dst, recMagicKeyed)
+		dst = binary.LittleEndian.AppendUint64(dst, storage.KeyHash(key))
+	} else {
+		dst = append(dst, recMagicSerial)
+	}
+	switch {
+	case r.Entry != nil:
+		dst = wire.AppendUvarint(dst, recEntry)
+		dst = wire.AppendString(dst, r.Entry.Key)
+		return appendEntry(dst, r.Entry.Entry)
+	case r.Hint != nil:
+		dst = wire.AppendUvarint(dst, recHint)
+		dst = wire.AppendString(dst, r.Hint.Intended)
+		dst = wire.AppendString(dst, r.Hint.Key)
+		return appendEntry(dst, r.Hint.Entry)
+	case r.HintAck != nil:
+		dst = wire.AppendUvarint(dst, recHintAck)
+		dst = wire.AppendString(dst, r.HintAck.Intended)
+		return wire.AppendString(dst, r.HintAck.Key)
+	case r.Mint != nil:
+		dst = wire.AppendUvarint(dst, recMint)
+		dst = wire.AppendString(dst, r.Mint.Key)
+		return wire.AppendUvarint(dst, r.Mint.Counter)
+	case r.TransferDone != nil:
+		t := r.TransferDone
+		dst = wire.AppendUvarint(dst, recTransferDone)
+		dst = wire.AppendUvarint(dst, t.Seq)
+		dst = wire.AppendVarint(dst, int64(t.Idx))
+		dst = wire.AppendUvarint(dst, t.Start)
+		return wire.AppendUvarint(dst, t.End)
+	case r.GeoAck != nil:
+		dst = wire.AppendUvarint(dst, recGeoAck)
+		dst = wire.AppendString(dst, r.GeoAck.Peer)
+		return wire.AppendUvarint(dst, r.GeoAck.Seq)
+	}
+	panic("quorum: encode empty WAL record")
+}
+
+// decodeRecord is the inverse of appendRecord. It fails closed: a
+// missing or inconsistent routing header, an unknown tag, a truncated
+// field or trailing bytes is an error. Decoded byte fields alias rec.
+func decodeRecord(rec []byte) (walRecord, error) {
+	var hash uint64
+	keyed := len(rec) >= 9 && rec[0] == recMagicKeyed
+	switch {
+	case keyed:
+		hash, rec = binary.LittleEndian.Uint64(rec[1:9]), rec[9:]
+	case len(rec) >= 1 && rec[0] == recMagicSerial:
+		rec = rec[1:]
+	default:
+		return walRecord{}, errors.New("quorum: WAL record has no routing header")
+	}
+	rd := wire.NewReader(rec)
+	var r walRecord
+	switch rd.Uvarint() {
+	case recEntry:
+		r.Entry = &entryRec{Key: rd.String(), Entry: readEntry(rd)}
+	case recHint:
+		r.Hint = &hintRec{Intended: rd.String(), Key: rd.String(), Entry: readEntry(rd)}
+	case recHintAck:
+		r.HintAck = &hintAckRec{Intended: rd.String(), Key: rd.String()}
+	case recMint:
+		r.Mint = &mintRec{Key: rd.String(), Counter: rd.Uvarint()}
+	case recTransferDone:
+		r.TransferDone = &transferDoneRec{Seq: rd.Uvarint(), Idx: int(rd.Varint()), Start: rd.Uvarint(), End: rd.Uvarint()}
+	case recGeoAck:
+		r.GeoAck = &geoAckRec{Peer: rd.String(), Seq: rd.Uvarint()}
+	default:
+		if rd.Err() == nil {
+			return walRecord{}, errors.New("quorum: unknown WAL record tag")
+		}
+	}
+	if err := rd.Close(); err != nil {
+		return walRecord{}, fmt.Errorf("quorum: decode WAL record: %w", err)
+	}
+	if key, k := r.recordKey(); k != keyed || (keyed && storage.KeyHash(key) != hash) {
+		return walRecord{}, errors.New("quorum: WAL record routing header does not match its key")
+	}
+	return r, nil
+}
+
 // ReplayDomain routes a raw journaled record for parallel replay: the
 // owning shard index for key-addressed records, -1 for records that must
-// replay on the serial lane (transfer completions and legacy bare-gob
-// records, whose ordering against everything else is then preserved by
-// the single serial lane).
+// replay on the serial lane (transfer completions and geo acks, whose
+// ordering against everything else is then preserved by the single
+// serial lane).
 func (n *Node) ReplayDomain(rec []byte) int {
 	if len(rec) >= 9 && rec[0] == recMagicKeyed {
 		return n.router.ShardOfHash(binary.LittleEndian.Uint64(rec[1:9]))
@@ -132,56 +202,68 @@ func (n *Node) ReplayDomain(rec []byte) int {
 	return -1
 }
 
-func (n *Node) persistEnabled() bool {
-	return n.cfg.Persist != nil || n.cfg.PersistAt != nil
-}
-
 // persistRecord journals one mutation. domain names the execution domain
 // the mutation ran on (0 = serial loop, 1+i = shard i) so the hosting
 // server can account the pending fsync to the right ack barrier.
 func (n *Node) persistRecord(domain int, r walRecord) {
-	if !n.persistEnabled() {
-		return
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(r); err != nil {
-		panic(fmt.Sprintf("quorum: encode WAL record: %v", err))
-	}
 	if n.cfg.PersistAt != nil {
-		key, keyed := r.recordKey()
-		n.cfg.PersistAt(domain, frameRecord(keyed, storage.KeyHash(key), buf.Bytes()))
-		return
+		n.cfg.PersistAt(domain, appendRecord(nil, r))
 	}
-	n.cfg.Persist(buf.Bytes())
 }
 
-// installEntry adds one version to key's sibling set, reporting whether
-// the set changed; a change is journaled. This is the single install
-// path shared by replica puts, handoff delivery, read repair, active
-// anti-entropy, and WAL replay (which calls it with journaling off).
-// domain is the executing durability domain (see persistRecord).
-func (n *Node) installEntry(domain int, key string, e clock.SiblingEntry[record]) bool {
+// installEntries merges versions into key's sibling set and journals
+// the ones that changed it. This is the single install path shared by
+// replica puts, handoff delivery, read repair, active anti-entropy,
+// transfer, geo shipping, and WAL replay (which runs with journaling
+// off). domain is the executing durability domain (see persistRecord).
+//
+// With anti-entropy on, the key's Merkle digest is refreshed from the
+// set in hand, under the shard lock so concurrent installs of one key
+// fold their digests in install order. An unchanged set refreshes too:
+// that is a no-op in trees already holding the digest, and it is how a
+// key enters the tree of a peer that joined after the key last changed.
+func (n *Node) installEntries(domain int, key string, es ...clock.SiblingEntry[record]) {
+	if len(es) == 0 {
+		return
+	}
 	sh := n.shardFor(key)
 	sh.mu.Lock()
-	sib, existed := sh.siblings(key)
-	before := sib.Entries()
-	sib.Add(e.DVV, e.Value)
-	changed := !existed || !sameEntries(before, sib.Entries())
+	before, existed := sh.stored(key)
+	sib := &clock.Siblings[record]{}
+	for _, e := range before {
+		sib.Add(e.DVV, e.Value)
+	}
+	for _, e := range es {
+		sib.Add(e.DVV, e.Value)
+	}
+	after := sib.Entries()
+	changed := !existed || !sameEntries(before, after)
 	if changed {
-		sh.setSiblings(key, sib)
+		sh.setSiblings(key, after)
 	}
+	n.noteKeyChanged(key, after)
 	sh.mu.Unlock()
-	if !n.persistEnabled() {
-		return true
-	}
-	if !changed {
-		return false // duplicate or obsolete: nothing to journal
+	if !changed || n.cfg.PersistAt == nil {
+		return // duplicate or obsolete versions: nothing to journal
 	}
 	// Journaled outside the lock: concurrent installs of the same key are
 	// causally unordered, and replaying their records in either order
 	// joins to the same sibling set (Siblings.Add is a semilattice merge).
-	n.persistRecord(domain, walRecord{Entry: &entryRec{Key: key, Entry: e}})
-	return true
+	// A version dropped within this batch is covered by its successor.
+	for _, e := range es {
+		if hasDot(after, e.DVV.Dot) && !hasDot(before, e.DVV.Dot) {
+			n.persistRecord(domain, walRecord{Entry: &entryRec{Key: key, Entry: e}})
+		}
+	}
+}
+
+// ApplyVersion installs one replicated version of key — the write's dot
+// and causal context, and its value — exactly as a replica applies a
+// replicaPut: sibling-set merge, engine put, Merkle refresh, and a WAL
+// record when journaling. Stage benchmarks drive replica apply through
+// it.
+func (n *Node) ApplyVersion(key string, dot clock.Dot, ctx clock.Vector, value []byte) {
+	n.installEntries(0, key, clock.SiblingEntry[record]{DVV: clock.DVV{Dot: dot, Context: ctx}, Value: record{Value: value}})
 }
 
 // storeHint queues a version for intended, deduplicating by dot so
@@ -220,36 +302,26 @@ func (n *Node) dropHints(intended, key string) int {
 }
 
 // ReplayRecord re-applies one journaled mutation during crash recovery.
-// Must run before the node starts exchanging messages, with Persist
-// still unset (the server wires Persist only after replay) so replay
-// does not re-journal. Records for different keys may be replayed
-// concurrently (the parallel recovery path partitions the journal with
-// ReplayDomain); per-key structures are lock-guarded, and TransferDone
-// records must stay on the single serial replay lane.
+// Must run before the node starts exchanging messages, with journaling
+// off (the server's PersistAt drops records while it recovers) so replay
+// does not re-journal. Records for different keys may be replayed concurrently
+// (the parallel recovery path partitions the journal with ReplayDomain);
+// per-key structures are lock-guarded, and serial-domain records must
+// stay on the single serial replay lane. Bytes that are not a record
+// written by persistRecord are an error, never a panic. rec is not
+// retained.
 func (n *Node) ReplayRecord(rec []byte) error {
-	// Strip the replay-routing header; journals written through the
-	// plain Persist hook are bare gob (see frameRecord).
-	if len(rec) > 0 {
-		switch rec[0] {
-		case recMagicKeyed:
-			if len(rec) < 9 {
-				return fmt.Errorf("quorum: truncated keyed WAL record")
-			}
-			rec = rec[9:]
-		case recMagicSerial:
-			rec = rec[1:]
-		}
-	}
-	var r walRecord
-	if err := gob.NewDecoder(bytes.NewReader(rec)).Decode(&r); err != nil {
-		return fmt.Errorf("quorum: decode WAL record: %w", err)
+	r, err := decodeRecord(rec)
+	if err != nil {
+		return err
 	}
 	switch {
 	case r.Entry != nil:
-		n.installEntry(0, r.Entry.Key, r.Entry.Entry)
-		n.noteKeyChanged(r.Entry.Key)
+		n.installEntries(0, r.Entry.Key, r.Entry.Entry)
 	case r.Hint != nil:
-		n.storeHint(r.Hint.Intended, r.Hint.Key, r.Hint.Entry)
+		e := r.Hint.Entry
+		e.Value.Value = bytes.Clone(e.Value.Value) // the hint queue retains it
+		n.storeHint(r.Hint.Intended, r.Hint.Key, e)
 	case r.HintAck != nil:
 		n.dropHints(r.HintAck.Intended, r.HintAck.Key)
 	case r.Mint != nil:
@@ -263,145 +335,6 @@ func (n *Node) ReplayRecord(rec []byte) error {
 		n.markTransferDone(r.TransferDone.Seq, r.TransferDone.Idx)
 	case r.GeoAck != nil:
 		n.geoRestoreAck(r.GeoAck.Peer, r.GeoAck.Seq)
-	default:
-		return fmt.Errorf("quorum: empty WAL record")
-	}
-	return nil
-}
-
-// StateSnapshot serializes the node's durable state for a checkpoint.
-// Shards are captured concurrently (each under its own lock); the
-// resulting image is byte-identical to the unsharded layout. The caller
-// fixes the WAL sequence the checkpoint covers before invoking this, so
-// any mutation the capture races is also in the replayed suffix and
-// re-applies idempotently.
-func (n *Node) StateSnapshot() ([]byte, error) {
-	type shardImage struct {
-		keys   []string
-		sets   map[string][]clock.SiblingEntry[record]
-		minted map[string]uint64
-	}
-	images := make([]shardImage, len(n.shards))
-	var wg sync.WaitGroup
-	for i, sh := range n.shards {
-		wg.Add(1)
-		go func(i int, sh *nodeShard) {
-			defer wg.Done()
-			sh.mu.RLock()
-			defer sh.mu.RUnlock()
-			pairs := sh.store.Scan("", "", 0)
-			im := shardImage{
-				sets:   make(map[string][]clock.SiblingEntry[record], len(pairs)),
-				minted: make(map[string]uint64, len(sh.minted)),
-			}
-			for _, p := range pairs {
-				im.keys = append(im.keys, p.Key)
-				im.sets[p.Key] = decodeEntries(p.Version.Value)
-			}
-			for k, c := range sh.minted {
-				im.minted[k] = c
-			}
-			images[i] = im
-		}(i, sh)
-	}
-	wg.Wait()
-
-	img := quorumImage{Minted: make(map[string]uint64)}
-	for _, im := range images {
-		img.Keys = append(img.Keys, im.keys...)
-		for k, c := range im.minted {
-			img.Minted[k] = c
-		}
-	}
-	sort.Strings(img.Keys)
-	for _, k := range img.Keys {
-		img.Sets = append(img.Sets, images[n.router.Shard(k)].sets[k])
-	}
-	n.hintsMu.Lock()
-	intendeds := make([]string, 0, len(n.hints))
-	for intended := range n.hints {
-		intendeds = append(intendeds, intended)
-	}
-	sort.Strings(intendeds)
-	for _, intended := range intendeds {
-		keys := make([]string, 0, len(n.hints[intended]))
-		for key := range n.hints[intended] {
-			keys = append(keys, key)
-		}
-		sort.Strings(keys)
-		for _, key := range keys {
-			for _, e := range n.hints[intended][key] {
-				img.Hints = append(img.Hints, hintRec{Intended: intended, Key: key, Entry: e})
-			}
-		}
-	}
-	n.hintsMu.Unlock()
-	seqs := make([]uint64, 0, len(n.xferDone))
-	for seq := range n.xferDone {
-		seqs = append(seqs, seq)
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	for _, seq := range seqs {
-		idxs := make([]int, 0, len(n.xferDone[seq]))
-		for idx := range n.xferDone[seq] {
-			idxs = append(idxs, idx)
-		}
-		sort.Ints(idxs)
-		for _, idx := range idxs {
-			img.Transfers = append(img.Transfers, transferDoneRec{Seq: seq, Idx: idx})
-		}
-	}
-	n.geoMu.Lock()
-	geoPeers := make([]string, 0, len(n.geoPeers))
-	for p := range n.geoPeers {
-		geoPeers = append(geoPeers, p)
-	}
-	sort.Strings(geoPeers)
-	for _, p := range geoPeers {
-		if acked := n.geoPeers[p].acked; acked > 0 {
-			img.GeoAcks = append(img.GeoAcks, geoAckRec{Peer: p, Seq: acked})
-		}
-	}
-	n.geoMu.Unlock()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(img); err != nil {
-		return nil, fmt.Errorf("quorum: encode snapshot: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// RestoreState loads a checkpoint written by StateSnapshot. Call before
-// ReplayRecord replays the log suffix.
-func (n *Node) RestoreState(state []byte) error {
-	var img quorumImage
-	if err := gob.NewDecoder(bytes.NewReader(state)).Decode(&img); err != nil {
-		return fmt.Errorf("quorum: decode snapshot: %w", err)
-	}
-	if len(img.Keys) != len(img.Sets) {
-		return fmt.Errorf("quorum: malformed snapshot: %d keys, %d sets", len(img.Keys), len(img.Sets))
-	}
-	for i, key := range img.Keys {
-		for _, e := range img.Sets[i] {
-			n.installEntry(0, key, e)
-		}
-		n.noteKeyChanged(key)
-	}
-	for k, c := range img.Minted {
-		sh := n.shardFor(k)
-		sh.mu.Lock()
-		if c > sh.minted[k] {
-			sh.minted[k] = c
-		}
-		sh.mu.Unlock()
-	}
-	for _, h := range img.Hints {
-		n.storeHint(h.Intended, h.Key, h.Entry)
-	}
-	for _, t := range img.Transfers {
-		n.markTransferDone(t.Seq, t.Idx)
-	}
-	for _, g := range img.GeoAcks {
-		n.geoRestoreAck(g.Peer, g.Seq)
 	}
 	return nil
 }

@@ -76,17 +76,19 @@ type Config struct {
 	Directory *resilience.Directory
 	// Counters receives resilience event counts. May be nil.
 	Counters *resilience.Counters
-	// Persist, when set, journals every durable-state mutation (sibling
-	// installs, hint stores/acks, minted dot counters) before any
-	// acknowledgement leaves the node — the hook the server runtime
-	// wires to its WAL. It runs on the node's actor loop.
-	Persist func(rec []byte)
-	// PersistAt is the sharded variant of Persist: domain 0 is the
-	// serial actor loop, domain 1+i is shard i's goroutine, and the
-	// record carries a routing header so replay can repartition it (see
-	// ReplayDomain). When both are set PersistAt wins. It may be invoked
-	// concurrently from different domains, never concurrently within one.
+	// PersistAt, when set, journals every durable-state mutation
+	// (sibling installs, hint stores/acks, minted dot counters) before
+	// any acknowledgement leaves the node — the hook the server runtime
+	// wires to its WAL. domain names the executing durability domain: 0
+	// is the serial actor loop, 1+i is shard i's goroutine. The record
+	// carries a routing header so replay can repartition it (see
+	// ReplayDomain). It may be invoked concurrently from different
+	// domains, never concurrently within one, and may retain rec.
 	PersistAt func(domain int, rec []byte)
+	// Persist is PersistAt without the domain, for single-journal hosts
+	// (the e2ebench layer replay sets it): it receives the same framed
+	// records. Ignored when PersistAt is set.
+	Persist func(rec []byte)
 	// Shards splits the node's replica state into this many key-range
 	// execution domains (rounded up to a power of two; default 1, fully
 	// serial). See shard.go.
@@ -439,6 +441,9 @@ func NewNode(id string, cfg Config) *Node {
 	if err := cfg.Validate(); err != nil {
 		panic(err.Error())
 	}
+	if persist := cfg.Persist; persist != nil && cfg.PersistAt == nil {
+		cfg.PersistAt = func(_ int, rec []byte) { persist(rec) }
+	}
 	router := storage.NewShardRouter(cfg.Shards)
 	engineFor := cfg.Storage
 	if engineFor == nil {
@@ -599,11 +604,7 @@ func (n *Node) OnMessage(env sim.Env, from string, msg sim.Message) {
 	case replicaGetResp:
 		n.onGetResp(env, from, m)
 	case handoffDeliver:
-		dom := execDomain(env)
-		for _, e := range m.Entries {
-			n.installEntry(dom, m.Key, e)
-		}
-		n.noteKeyChanged(m.Key)
+		n.installEntries(execDomain(env), m.Key, m.Entries...)
 		env.Send(from, handoffAck{Key: m.Key})
 	case handoffAck:
 		if dropped := n.dropHints(from, m.Key); dropped > 0 {
@@ -777,8 +778,7 @@ func (n *Node) coordinatePut(env sim.Env, client string, m clientPut) {
 					continue
 				}
 				if old == n.id {
-					n.installEntry(execDomain(env), m.Key, entry)
-					n.noteKeyChanged(m.Key)
+					n.installEntries(execDomain(env), m.Key, entry)
 					continue
 				}
 				env.Send(old, replicaPut{Key: m.Key, Entry: entry, Repair: true})
@@ -872,8 +872,7 @@ func (n *Node) applyReplicaPut(env sim.Env, from string, m replicaPut) {
 			n.persistRecord(execDomain(env), walRecord{Hint: &hintRec{Intended: m.Hint, Key: m.Key, Entry: m.Entry}})
 		}
 	} else {
-		n.installEntry(execDomain(env), m.Key, m.Entry)
-		n.noteKeyChanged(m.Key)
+		n.installEntries(execDomain(env), m.Key, m.Entry)
 	}
 	if !m.Repair {
 		env.Send(from, replicaPutAck{ID: m.ID})
@@ -1148,10 +1147,7 @@ func (n *Node) readRepair(env sim.Env, pr *pendingRead, merged []clock.SiblingEn
 			continue
 		}
 		if rep == n.id {
-			for _, e := range merged {
-				n.installEntry(execDomain(env), pr.key, e)
-			}
-			n.noteKeyChanged(pr.key)
+			n.installEntries(execDomain(env), pr.key, merged...)
 			continue
 		}
 		for _, e := range merged {
@@ -1161,23 +1157,26 @@ func (n *Node) readRepair(env sim.Env, pr *pendingRead, merged []clock.SiblingEn
 	}
 }
 
+// sameEntries reports whether a and b hold the same versions (by dot).
 func sameEntries(a, b []clock.SiblingEntry[record]) bool {
 	if len(a) != len(b) {
 		return false
 	}
-	for _, ea := range a {
-		found := false
-		for _, eb := range b {
-			if ea.DVV.Dot == eb.DVV.Dot {
-				found = true
-				break
-			}
-		}
-		if !found {
+	for _, e := range a {
+		if !hasDot(b, e.DVV.Dot) {
 			return false
 		}
 	}
 	return true
+}
+
+func hasDot(es []clock.SiblingEntry[record], d clock.Dot) bool {
+	for _, e := range es {
+		if e.DVV.Dot == d {
+			return true
+		}
+	}
+	return false
 }
 
 func (n *Node) readTimeout(env sim.Env, id uint64) {

@@ -2,13 +2,13 @@ package quorum
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
 	"sync"
 
 	"repro/internal/clock"
 	"repro/internal/sim"
 	"repro/internal/storage"
+	"repro/internal/wire"
 )
 
 // Sharded execution. With Config.Shards = S > 1 the node's replica state
@@ -38,11 +38,12 @@ type nodeShard struct {
 	// read-modify-write install cycle around it.
 	mu sync.RWMutex
 	// store holds the shard's sibling sets, one engine entry per key,
-	// the value a gob-encoded entry list (see encodeEntries). Which
-	// engine backs it — in-memory KV or disk-resident LSM — is the
-	// host's choice via Config.Storage.
+	// the value the entry list in the wire codec's binary layout (see
+	// appendEntries). Which engine backs it — in-memory KV or
+	// disk-resident LSM — is the host's choice via Config.Storage.
 	store    storage.Engine
-	installs int // engine writes since the last version compaction
+	installs int    // engine writes since the last version compaction
+	buf      []byte // encode scratch for installs; engines copy on store
 	minted   map[string]uint64
 
 	// Coordination state is executor-confined: only the shard's own
@@ -74,34 +75,35 @@ func newNodeShard(store storage.Engine) *nodeShard {
 // in-place map the shard used to hold had no such debt).
 const compactEvery = 256
 
-// entries returns key's sibling set as stored, or nil. Caller holds
-// sh.mu (read suffices).
+// entries returns a copy of key's sibling set, or nil. The copy owns its
+// value bytes, so it stays valid past the unlock and callers may retain
+// or hand it on. Caller holds sh.mu (read suffices).
 func (sh *nodeShard) entries(key string) []clock.SiblingEntry[record] {
 	v, ok := sh.store.Get(key)
 	if !ok {
 		return nil
 	}
-	return decodeEntries(v.Value)
+	return decodeEntries(bytes.Clone(v.Value))
 }
 
-// siblings loads key's sibling set rebuilt for merging, or an empty set.
-// Caller holds sh.mu for writing (the result feeds setSiblings).
-func (sh *nodeShard) siblings(key string) (*clock.Siblings[record], bool) {
+// stored returns key's sibling set as stored, or nil when absent. The
+// value bytes alias engine memory, which is read-only: the result must
+// not outlive the caller's hold on sh.mu. Rebuilding a Siblings from it
+// via Add round-trips exactly: stored survivors are mutually concurrent,
+// so no entry obsoletes another and insertion order is preserved.
+func (sh *nodeShard) stored(key string) ([]clock.SiblingEntry[record], bool) {
 	v, ok := sh.store.Get(key)
 	if !ok {
-		return &clock.Siblings[record]{}, false
+		return nil, false
 	}
-	sib := &clock.Siblings[record]{}
-	for _, e := range decodeEntries(v.Value) {
-		sib.Add(e.DVV, e.Value)
-	}
-	return sib, true
+	return decodeEntries(v.Value), true
 }
 
 // setSiblings stores key's sibling set back into the engine and
 // amortizes version garbage collection. Caller holds sh.mu for writing.
-func (sh *nodeShard) setSiblings(key string, sib *clock.Siblings[record]) {
-	sh.store.Put(key, encodeEntries(sib.Entries()), nil)
+func (sh *nodeShard) setSiblings(key string, es []clock.SiblingEntry[record]) {
+	sh.buf = appendEntries(sh.buf[:0], es)
+	sh.store.Put(key, sh.buf, nil)
 	sh.installs++
 	if sh.installs >= compactEvery {
 		sh.installs = 0
@@ -109,24 +111,13 @@ func (sh *nodeShard) setSiblings(key string, sib *clock.Siblings[record]) {
 	}
 }
 
-// encodeEntries serializes a sibling entry list for engine storage.
-func encodeEntries(es []clock.SiblingEntry[record]) []byte {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(es); err != nil {
-		panic(fmt.Sprintf("quorum: encode sibling set: %v", err))
-	}
-	return buf.Bytes()
-}
-
-// decodeEntries is the inverse of encodeEntries. The bytes come from
-// our own engine (CRC-verified on the disk path), so failure is a
-// programming error, not an input error. Rebuilding a Siblings from the
-// decoded list via Add round-trips exactly: stored survivors are
-// mutually concurrent, so no entry obsoletes another and insertion
-// order is preserved.
+// decodeEntries reads a stored sibling set; the entries' value bytes
+// alias b. The bytes come from our own engine (CRC-verified on the disk
+// path), so failure is a programming error, not an input error.
 func decodeEntries(b []byte) []clock.SiblingEntry[record] {
-	var es []clock.SiblingEntry[record]
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&es); err != nil {
+	r := wire.NewReader(b)
+	es := readEntries(r)
+	if err := r.Close(); err != nil {
 		panic(fmt.Sprintf("quorum: decode sibling set: %v", err))
 	}
 	return es

@@ -263,11 +263,10 @@ func (n *Node) handleTransferBatch(env sim.Env, m transferBatch) {
 	dom := execDomain(env)
 	size := 0
 	for _, e := range m.Entries {
+		n.installEntries(dom, e.Key, e.Entries...)
 		for _, s := range e.Entries {
-			n.installEntry(dom, e.Key, s)
 			size += len(e.Key) + len(s.Value.Value) + 16*len(s.DVV.Context) + 16
 		}
-		n.noteKeyChanged(e.Key)
 	}
 	n.Transfer.BytesIn.Add(uint64(size))
 	if !m.Done {
@@ -520,10 +519,7 @@ func (n *Node) SetMembers(members []string) {
 	}
 	n.hintsMu.Unlock()
 	for _, o := range orphans {
-		for _, e := range o.entries {
-			n.installEntry(0, o.key, e)
-		}
-		n.noteKeyChanged(o.key)
+		n.installEntries(0, o.key, o.entries...)
 		n.dropHints(o.intended, o.key)
 		n.persistRecord(0, walRecord{HintAck: &hintAckRec{Intended: o.intended, Key: o.key}})
 	}

@@ -330,13 +330,19 @@ func TestGossipRestartServesPreKillKeysThenSyncsDelta(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Wait until node2 has the pre-kill keys (anti-entropy), so its WAL
-	// journals them.
+	// Wait until node2 has every pre-kill key (anti-entropy), so its WAL
+	// journals them: rumors and Merkle repair deliver keys in no fixed
+	// order, so holding pre7 says nothing about pre1.
 	c2 := dialNode(t, srvs[2], "cli2")
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		_, found, err := c2.Get("pre7")
-		if err == nil && found {
+		have := 0
+		for i := 0; i < 8; i++ {
+			if _, found, err := c2.Get(fmt.Sprintf("pre%d", i)); err == nil && found {
+				have++
+			}
+		}
+		if have == 8 {
 			break
 		}
 		if time.Now().After(deadline) {

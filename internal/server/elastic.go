@@ -217,6 +217,8 @@ type elastic struct {
 	gainers    map[string]bool
 
 	pullTimer transport.TimerID
+	// pulled records that a peer answered this process's ring pull.
+	pulled bool
 }
 
 // snapshot returns the fields status endpoints need, consistently.
@@ -344,21 +346,22 @@ func (s *Server) elasticBoot(env transport.Env) {
 		}
 	}
 	sort.Strings(peers)
-	waiting := s.el.mode == stateCatchingUp
 	s.el.mu.Unlock()
 	for _, p := range peers {
 		env.Send(p, ringPull{Pad: 1})
 	}
-	if waiting {
+	if len(peers) > 0 {
 		s.el.pullTimer = env.SetTimer(elasticPullInterval, elasticPullTag{})
 	}
 }
 
-// elasticRePull retries the epoch pull while this node is still waiting
+// elasticRePull retries the epoch pull until a peer has answered — a
+// peer's link to this node's previous process can swallow the reply to
+// the boot-time pull — and, after that, while this node is still waiting
 // for its join window (a lost broadcast, or peers that weren't up yet).
 func (s *Server) elasticRePull(env transport.Env) {
 	s.el.mu.Lock()
-	mode := s.el.mode
+	mode, pulled := s.el.mode, s.el.pulled
 	peers := make([]string, 0, len(s.el.addrs))
 	for id := range s.el.addrs {
 		if id != s.cfg.ID {
@@ -367,7 +370,7 @@ func (s *Server) elasticRePull(env transport.Env) {
 	}
 	sort.Strings(peers)
 	s.el.mu.Unlock()
-	if mode != stateCatchingUp {
+	if mode != stateCatchingUp && pulled {
 		return
 	}
 	if !s.qnode.CatchingUp() {
@@ -524,6 +527,7 @@ func (s *Server) onRingUpdate(env transport.Env, from string, m ringUpdate) {
 	}
 	el := s.el
 	el.mu.Lock()
+	el.pulled = el.pulled || m.Reply
 	current := m.Seq == el.seq && el.prev != nil
 	resumeJoin := current && m.Reply && el.joining == s.cfg.ID
 	resumeLeave := current && m.Reply && el.leaving == s.cfg.ID &&

@@ -130,12 +130,10 @@ func (s *Server) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 
 	s.statMu.Lock()
 	fmt.Fprintf(&b, "# HELP ec_requests_total Client requests served, by operation.\n# TYPE ec_requests_total counter\n")
-	for _, name := range s.reqCount.Names() {
-		if op, ok := strings.CutPrefix(name, "server.requests."); ok {
-			fmt.Fprintf(&b, "ec_requests_total{op=%q} %d\n", op, s.reqCount.Get(name))
-		}
+	for _, op := range s.reqOps.Names() {
+		fmt.Fprintf(&b, "ec_requests_total{op=%q} %d\n", op, s.reqOps.Get(op))
 	}
-	errs := s.reqCount.Get("server.request_errors")
+	errs := s.reqErrs
 	cnt := s.reqLat.Count()
 	var p50, p99 time.Duration
 	if cnt > 0 {

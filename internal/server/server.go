@@ -111,22 +111,23 @@ type Server struct {
 	dir    *resilience.Directory
 	policy *resilience.Policy
 
-	gwQuorum  []*quorum.Client // quorum model: gateway actors' clients (one per shard)
-	gwIDs     []string
+	gwQuorum   []*quorum.Client // quorum model: gateway actors' clients (one per shard)
+	gwIDs      []string
 	lsmEngines []*lsm.Engine // Engine "lsm": per-shard trees, for metrics and close
-	gossipN   *gossip.Node // gossip model: ops run on the storage actor itself
-	qnode     *quorum.Node // quorum model: the storage actor's protocol node
-	qN        int          // quorum model: replication factor
-	el        *elastic     // quorum model: live membership state
-	dur       *durability  // nil unless Config.DataDir set
-	ackB      *ackBarrier  // nil unless durable: holds acks until fsync
-	httpLn    net.Listener
-	statMu    sync.Mutex // guards reqCount and reqLat
-	reqCount  *metrics.Counters
-	reqLat    *metrics.Histogram
-	connSeq   uint64
-	connMu    sync.Mutex
-	closeOnce sync.Once
+	gossipN    *gossip.Node  // gossip model: ops run on the storage actor itself
+	qnode      *quorum.Node  // quorum model: the storage actor's protocol node
+	qN         int           // quorum model: replication factor
+	el         *elastic      // quorum model: live membership state
+	dur        *durability   // nil unless Config.DataDir set
+	ackB       *ackBarrier   // nil unless durable: holds acks until fsync
+	httpLn     net.Listener
+	statMu     sync.Mutex        // guards reqOps, reqErrs and reqLat
+	reqOps     *metrics.Counters // requests served, keyed by Request.Op
+	reqErrs    uint64
+	reqLat     *metrics.Histogram
+	connSeq    uint64
+	connMu     sync.Mutex
+	closeOnce  sync.Once
 
 	// booted is set just before ready closes iff New succeeded; the
 	// channel close orders the write for the parked handlers.
@@ -211,13 +212,13 @@ func New(cfg Config) (*Server, error) {
 	}
 
 	s := &Server{
-		cfg:      cfg,
-		ready:    make(chan struct{}),
-		ring:     ring.NewZoned(ringMembers, ring.DefaultVirtualNodes, cfg.Zones),
-		dir:      resilience.NewDirectory(policy),
-		policy:   policy,
-		reqCount: metrics.NewCounters(),
-		reqLat:   metrics.NewHistogram(),
+		cfg:    cfg,
+		ready:  make(chan struct{}),
+		ring:   ring.NewZoned(ringMembers, ring.DefaultVirtualNodes, cfg.Zones),
+		dir:    resilience.NewDirectory(policy),
+		policy: policy,
+		reqOps: metrics.NewCounters(),
+		reqLat: metrics.NewHistogram(),
 	}
 	// Wake parked connection handlers however New exits — they check
 	// booted and drop the connection if boot failed.
@@ -234,14 +235,14 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 	tcp, err := transport.NewTCP(transport.TCPConfig{
-		LocalID:      cfg.ID,
-		Listen:       cfg.ListenPeer,
-		Peers:        cfg.Peers,
-		Policy:       policy,
-		Directory:    s.dir,
-		Seed:         cfg.Seed,
-		Logf:         cfg.Logf,
-		LinkDelay:    linkDelay,
+		LocalID:   cfg.ID,
+		Listen:    cfg.ListenPeer,
+		Peers:     cfg.Peers,
+		Policy:    policy,
+		Directory: s.dir,
+		Seed:      cfg.Seed,
+		Logf:      cfg.Logf,
+		LinkDelay: linkDelay,
 		OnClientConn: func(id string, conn net.Conn) {
 			go func() {
 				<-s.ready
@@ -699,15 +700,14 @@ func (s *Server) logf(format string, args ...any) {
 // handle executes one request against the hosted model.
 func (s *Server) handle(req Request, sess *session.Client, sessID string) Response {
 	start := time.Now()
-	s.statMu.Lock()
-	s.reqCount.Inc("server.requests." + req.Op)
-	s.statMu.Unlock()
 	resp := s.dispatch(req, sess, sessID)
+	lat := time.Since(start)
 	s.statMu.Lock()
+	s.reqOps.Inc(req.Op)
 	if !resp.OK {
-		s.reqCount.Inc("server.request_errors")
+		s.reqErrs++
 	}
-	s.reqLat.Observe(time.Since(start))
+	s.reqLat.Observe(lat)
 	s.statMu.Unlock()
 	return resp
 }

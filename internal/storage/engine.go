@@ -15,10 +15,16 @@ package storage
 //     not drop any version visible to an open snapshot or to the given
 //     keepSeq (the TestKVCompactKeepsOpenSnapshotView contract).
 //   - Close releases files and background work; for KV it is a no-op.
+//   - Values are copied on store: Put keeps its own copy of value, so the
+//     caller may reuse or mutate its buffer as soon as Put returns. A
+//     returned Version.Value is the engine's copy and is read-only; a
+//     caller that mutates or hands on bytes derived from it without
+//     copying (a decoder whose results alias its input) copies first.
 type Engine interface {
 	// Seq returns the sequence number of the newest committed write.
 	Seq() uint64
-	// Put commits a new version of key and returns its sequence number.
+	// Put commits a copy of value as a new version of key and returns
+	// its sequence number.
 	Put(key string, value []byte, meta any) uint64
 	// Delete commits a tombstone for key.
 	Delete(key string, meta any) uint64

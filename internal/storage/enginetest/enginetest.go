@@ -37,6 +37,32 @@ func Run(t *testing.T, factory Factory) {
 	t.Run("SnapshotSurvivesCompact", func(t *testing.T) { testSnapshotSurvivesCompact(t, factory) })
 	t.Run("RandomVsModel", func(t *testing.T) { testRandomVsModel(t, factory, false) })
 	t.Run("RandomVsModelWithCompact", func(t *testing.T) { testRandomVsModel(t, factory, true) })
+	t.Run("PutCopiesValue", func(t *testing.T) { testPutCopiesValue(t, factory) })
+}
+
+// testPutCopiesValue pins the ownership rule on storage.Engine: Put
+// stores a copy, so a caller reusing its buffer — the quorum shard
+// encodes every sibling set into one scratch buffer — never changes a
+// stored version, whether read live, at a sequence, or by scan.
+func testPutCopiesValue(t *testing.T, factory Factory) {
+	e := factory(t)
+	buf := []byte("first")
+	s1 := e.Put("a", buf, nil)
+	copy(buf, "XXXXX")
+	e.Put("b", buf, nil)
+	copy(buf, "YYYYY")
+	if v, ok := e.Get("a"); !ok || string(v.Value) != "first" {
+		t.Fatalf("Get(a) after the caller reused its buffer = %q, %v; want first", v.Value, ok)
+	}
+	if v, ok := e.GetAt("a", s1); !ok || string(v.Value) != "first" {
+		t.Fatalf("GetAt(a, %d) = %q, %v; want first", s1, v.Value, ok)
+	}
+	if v, ok := e.Get("b"); !ok || string(v.Value) != "XXXXX" {
+		t.Fatalf("Get(b) = %q, %v; want XXXXX", v.Value, ok)
+	}
+	if ps := e.Scan("", "", 0); len(ps) != 2 || string(ps[0].Version.Value) != "first" || string(ps[1].Version.Value) != "XXXXX" {
+		t.Fatalf("Scan after buffer reuse = %+v", ps)
+	}
 }
 
 func testBasicVisibility(t *testing.T, factory Factory) {

@@ -5,6 +5,7 @@
 package storage
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 	"sync"
@@ -14,8 +15,8 @@ import (
 type Version struct {
 	// Seq is the store-local commit sequence number; higher is newer.
 	Seq uint64
-	// Value is the payload. Values are treated as immutable: callers must
-	// not modify a returned slice.
+	// Value is the payload, owned by the engine: Put stores a copy and
+	// callers must not modify a returned slice (see Engine).
 	Value []byte
 	// Tombstone marks a deletion. Tombstones participate in replication
 	// and anti-entropy like ordinary writes.
@@ -47,9 +48,10 @@ func (kv *KV) Seq() uint64 {
 	return kv.seq
 }
 
-// Put commits a new version of key and returns its sequence number.
+// Put commits a copy of value as a new version of key and returns its
+// sequence number.
 func (kv *KV) Put(key string, value []byte, meta any) uint64 {
-	return kv.commit(key, Version{Value: value, Meta: meta})
+	return kv.commit(key, Version{Value: bytes.Clone(value), Meta: meta})
 }
 
 // Delete commits a tombstone for key and returns its sequence number.

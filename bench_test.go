@@ -97,15 +97,10 @@ func runGroup(b *testing.B, name string) {
 		b.Fatalf("no benchsuite entry named %q", name)
 	}
 	for _, bm := range group {
-		f := bm.F
-		if bm.Skip != "" {
-			reason := bm.Skip
-			f = func(b *testing.B) { b.Skip(reason) }
-		}
 		if bm.Name == name {
-			f(b)
+			bm.F(b)
 		} else {
-			b.Run(strings.TrimPrefix(bm.Name, name+"/"), f)
+			b.Run(strings.TrimPrefix(bm.Name, name+"/"), bm.F)
 		}
 	}
 }
@@ -124,8 +119,6 @@ func BenchmarkMerkleDiff(b *testing.B)          { runGroup(b, "BenchmarkMerkleDi
 func BenchmarkMerkleDescend(b *testing.B)       { runGroup(b, "BenchmarkMerkleDescend") }
 func BenchmarkKVPut(b *testing.B)               { runGroup(b, "BenchmarkKVPut") }
 func BenchmarkKVGet(b *testing.B)               { runGroup(b, "BenchmarkKVGet") }
-func BenchmarkKVPutParallel(b *testing.B)       { runGroup(b, "BenchmarkKVPutParallel") }
-func BenchmarkKVGetParallel(b *testing.B)       { runGroup(b, "BenchmarkKVGetParallel") }
 func BenchmarkZipfianNext(b *testing.B)         { runGroup(b, "BenchmarkZipfianNext") }
 func BenchmarkHLCNow(b *testing.B)              { runGroup(b, "BenchmarkHLCNow") }
 
@@ -148,11 +141,6 @@ func BenchmarkRingJoinDiff(b *testing.B)         { runGroup(b, "BenchmarkRingJoi
 // (internal/wal).
 func BenchmarkWALAppend(b *testing.B)   { runGroup(b, "BenchmarkWALAppend") }
 func BenchmarkWALRecovery(b *testing.B) { runGroup(b, "BenchmarkWALRecovery") }
-
-// BenchmarkWALRecoveryParallel replays the same journal through
-// ReplaySharded with 2/4/8 lanes — the parallel crash-recovery path a
-// sharded quorum node boots through.
-func BenchmarkWALRecoveryParallel(b *testing.B) { runGroup(b, "BenchmarkWALRecoveryParallel") }
 
 // BenchmarkWALAppendConcurrent measures SyncEach appends with many
 // goroutines in flight — the group-commit path (one committer fsync per

@@ -59,9 +59,6 @@ type clusterState struct {
 	Data  map[string]string `json:"data"`  // id -> durable state dir ("" = memory-only)
 	Fsync string            `json:"fsync"` // WAL fsync policy nodes were started with
 	Seeds map[string]int64  `json:"seeds"` // id -> randomness seed (restart reuses it)
-	// Shards is the per-node execution shard count every node was
-	// spawned with (0 = server default: GOMAXPROCS).
-	Shards int `json:"shards,omitempty"`
 	// XferRate/XferBatch throttle elasticity arc transfers (0 = server
 	// defaults); every node is spawned with them so sources pace
 	// streams consistently.
@@ -195,7 +192,6 @@ func cmdUp(args []string) error {
 	seed := fs.Int64("seed", 1, "base randomness seed")
 	fsync := fs.String("fsync", "sync", "WAL fsync policy: sync, batch, or none")
 	noData := fs.Bool("no-data", false, "run memory-only (no WAL, no crash recovery)")
-	shards := fs.Int("shards", 0, "execution shards per node (0 = GOMAXPROCS, 1 = serial; quorum model)")
 	xferRate := fs.Int("transfer-rate", 0, "elasticity transfer throttle, bytes/sec per source (0 = default)")
 	xferBatch := fs.Int("transfer-batch", 0, "elasticity transfer batch payload bytes (0 = default)")
 	engine := fs.String("engine", "", "storage engine: mem (default) or lsm (disk-resident; quorum model, needs data dirs)")
@@ -243,7 +239,6 @@ func cmdUp(args []string) error {
 		Data:      map[string]string{},
 		Fsync:     *fsync,
 		Seeds:     map[string]int64{},
-		Shards:    *shards,
 		XferRate:  *xferRate,
 		XferBatch: *xferBatch,
 		Engine:    *engine,
@@ -332,9 +327,6 @@ func spawnNode(dir, bin string, st *clusterState, id string, extra ...string) er
 		if st.Fsync != "" {
 			cargs = append(cargs, "-fsync", st.Fsync)
 		}
-	}
-	if st.Shards > 0 {
-		cargs = append(cargs, "-shards", fmt.Sprint(st.Shards))
 	}
 	if st.XferRate > 0 {
 		cargs = append(cargs, "-transfer-rate", fmt.Sprint(st.XferRate))
@@ -764,27 +756,6 @@ func cmdStatus(args []string) error {
 			if r := m["ec_transfer_ranges_total"]; r > 0 {
 				line += fmt.Sprintf(" transferred-ranges=%d", uint64(r))
 			}
-		}
-		if c, err := server.Dial(st.Peers[id], "ecctl-status"); err == nil {
-			if rs, err := c.RingStatus(); err == nil {
-				if rs.Shards > 1 {
-					line += fmt.Sprintf(" shards=%d", rs.Shards)
-				}
-				// Lane 0 is the serial control loop; lanes 1..S are the
-				// execution shards that replayed keyed records in parallel.
-				var replayed uint64
-				for _, n := range rs.ReplayedByLane {
-					replayed += n
-				}
-				if replayed > 0 && len(rs.ReplayedByLane) > 1 {
-					parts := make([]string, len(rs.ReplayedByLane))
-					for i, n := range rs.ReplayedByLane {
-						parts[i] = fmt.Sprintf("%d", n)
-					}
-					line += fmt.Sprintf(" replayed-by-lane=%s", strings.Join(parts, "/"))
-				}
-			}
-			c.Close()
 		}
 		fmt.Println(line)
 	}
@@ -1229,7 +1200,7 @@ func cmdBench(args []string) error {
 // serverCPU sums user+sys CPU time consumed so far by the cluster's
 // server processes, read from /proc/<pid>/stat. Sampled before and
 // after a bench run, the delta says how many cores the servers kept
-// busy — the number the shard sweep is supposed to move. Returns
+// busy. Returns
 // ok=false when no pid could be read (stopped cluster, or a platform
 // without procfs), and bench just omits the utilization line.
 func serverCPU(st *clusterState) (time.Duration, bool) {

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/clock"
@@ -31,13 +30,6 @@ import (
 type Benchmark struct {
 	Name string
 	F    func(b *testing.B)
-	// Skip, when non-empty, marks the benchmark meaningless on this
-	// host (for example a shard sweep without real cores); runners must
-	// report the reason and not execute F. The decision is made at
-	// registration rather than via b.Skip inside F because ecbench
-	// drives entries through testing.Benchmark, where Skip's logging
-	// panics outside a `go test` harness.
-	Skip string
 }
 
 // All returns every registered micro-benchmark in a stable order.
@@ -65,8 +57,6 @@ func All() []Benchmark {
 		Benchmark{Name: "BenchmarkMerkleDescend", F: merkleDescend},
 		Benchmark{Name: "BenchmarkKVPut", F: kvPut},
 		Benchmark{Name: "BenchmarkKVGet", F: kvGet},
-		Benchmark{Name: "BenchmarkKVPutParallel", F: kvPutParallel},
-		Benchmark{Name: "BenchmarkKVGetParallel", F: kvGetParallel},
 		Benchmark{Name: "BenchmarkZipfianNext", F: zipfianNext},
 		Benchmark{Name: "BenchmarkHLCNow", F: hlcNow},
 		Benchmark{Name: "BenchmarkReplicaApply", F: replicaApply},
@@ -329,47 +319,6 @@ func kvGet(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		kv.Get(keys[i%len(keys)])
 	}
-}
-
-// kvPutParallel and kvGetParallel measure the sharded store under
-// GOMAXPROCS-way concurrency: per-shard locks mean goroutines writing
-// disjoint shards never contend, which is the storage half of the
-// multi-core replica hot path.
-
-func kvPutParallel(b *testing.B) {
-	s := storage.NewShardedKV(8)
-	keys := make([]string, 1024)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("key-%d", i)
-	}
-	val := []byte("0123456789abcdef")
-	var next atomic.Uint64
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		i := next.Add(1) * 101
-		for pb.Next() {
-			s.Put(keys[i%uint64(len(keys))], val, nil)
-			i++
-		}
-	})
-}
-
-func kvGetParallel(b *testing.B) {
-	s := storage.NewShardedKV(8)
-	keys := make([]string, 1024)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("key-%d", i)
-		s.Put(keys[i], []byte("v"), nil)
-	}
-	var next atomic.Uint64
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		i := next.Add(1) * 101
-		for pb.Next() {
-			s.Get(keys[i%uint64(len(keys))])
-			i++
-		}
-	})
 }
 
 // ── Workload ───────────────────────────────────────────────────────────

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"net"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -30,7 +29,6 @@ type SaturationConfig struct {
 	ValueSize int            // put payload bytes (default 128)
 	Keys      int            // distinct keys (default 1000)
 	GetFrac   float64        // fraction of gets (default 0.5)
-	Shards    int            // execution shards per node (0 = GOMAXPROCS; quorum model)
 	Engine    string         // storage engine ("" = "mem"; "lsm" needs Durable, quorum model)
 }
 
@@ -104,7 +102,6 @@ func RunSaturation(cfg SaturationConfig) (SaturationResult, error) {
 			Peers:  peers,
 			Policy: policy,
 			Seed:   int64(1000 + i),
-			Shards: cfg.Shards,
 			Engine: cfg.Engine,
 		}
 		if cfg.Durable {
@@ -230,16 +227,14 @@ func reserveAddrs(n int) ([]string, error) {
 
 // saturation runs RunSaturation once per iteration and reports
 // capacity, not time-per-op: achieved ops/s at the fixed offered load,
-// tail latency, and the shed count under overload. shards 0 leaves the
-// server default (GOMAXPROCS execution shards for the quorum model).
-func saturation(b *testing.B, model string, durable bool, fsync wal.SyncPolicy, shards int, engine string) {
+// tail latency, and the shed count under overload.
+func saturation(b *testing.B, model string, durable bool, fsync wal.SyncPolicy, engine string) {
 	for i := 0; i < b.N; i++ {
 		res, err := RunSaturation(SaturationConfig{
 			Model:   model,
 			Durable: durable,
 			Fsync:   fsync,
 			Dir:     b.TempDir(),
-			Shards:  shards,
 			Engine:  engine,
 		})
 		if err != nil {
@@ -259,48 +254,30 @@ func saturation(b *testing.B, model string, durable bool, fsync wal.SyncPolicy, 
 
 // satBenchmarks registers the cluster saturation benchmarks: the
 // in-memory capacity of each model, quorum with the full
-// durable-before-ack path (the WAL group-commit case), and the quorum
-// shard-scaling sweep — durable at fsync=batch, shards=1 the classic
-// single actor loop, 4 and 8 multi-core replica execution (the sweep
-// only separates when GOMAXPROCS gives the shards real cores).
+// durable-before-ack path (the WAL group-commit case), and the storage
+// engine pair.
 func satBenchmarks() []Benchmark {
 	var out []Benchmark
 	for _, model := range []string{"gossip", "quorum"} {
 		model := model
 		out = append(out, Benchmark{
 			Name: fmt.Sprintf("BenchmarkSaturation/model=%s", model),
-			F:    func(b *testing.B) { saturation(b, model, false, wal.SyncEach, 0, "") },
+			F:    func(b *testing.B) { saturation(b, model, false, wal.SyncEach, "") },
 		})
 	}
 	out = append(out, Benchmark{
 		Name: "BenchmarkSaturation/model=quorum-durable",
-		F:    func(b *testing.B) { saturation(b, "quorum", true, wal.SyncEach, 0, "") },
+		F:    func(b *testing.B) { saturation(b, "quorum", true, wal.SyncEach, "") },
 	})
-	for _, shards := range []int{1, 4, 8} {
-		shards := shards
-		// On a single-core host the multi-shard cells cannot separate:
-		// every shard executor multiplexes onto the one P, so they just
-		// re-measure shards=1 plus goroutine-switch overhead and
-		// pollute the baseline with noise.
-		var skip string
-		if shards > 1 && runtime.GOMAXPROCS(0) == 1 {
-			skip = fmt.Sprintf("GOMAXPROCS=1: the %d-shard cell needs real cores to mean anything", shards)
-		}
-		out = append(out, Benchmark{
-			Name: fmt.Sprintf("BenchmarkSaturation/model=quorum/shards=%d", shards),
-			F:    func(b *testing.B) { saturation(b, "quorum", true, wal.SyncBatch, shards, "") },
-			Skip: skip,
-		})
-	}
 	// The engine pair holds everything but the storage engine fixed
 	// (durable quorum, batch fsync) so the two cells bracket what
 	// moving replica state from the in-memory map to disk-resident
-	// LSM trees costs on the full request path.
+	// LSM tree costs on the full request path.
 	for _, engine := range []string{"mem", "lsm"} {
 		engine := engine
 		out = append(out, Benchmark{
 			Name: fmt.Sprintf("BenchmarkSaturation/engine=%s", engine),
-			F:    func(b *testing.B) { saturation(b, "quorum", true, wal.SyncBatch, 0, engine) },
+			F:    func(b *testing.B) { saturation(b, "quorum", true, wal.SyncBatch, engine) },
 		})
 	}
 	return out

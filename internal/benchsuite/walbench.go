@@ -105,53 +105,6 @@ func walRecovery(b *testing.B, records int) {
 	}
 }
 
-// walRecoveryParallel measures the same cold-start recovery replayed
-// through ReplaySharded: records fan out to lanes concurrent appliers
-// by a hash of the record body, modeling the quorum node's per-shard
-// replay. The work per record here is trivial, so the numbers bound the
-// fan-out overhead; real recovery (gob decode + sibling-set merge per
-// record) amortises it and scales with lanes.
-func walRecoveryParallel(b *testing.B, records, lanes int) {
-	dir := b.TempDir()
-	log, err := wal.Open(dir, wal.Options{Policy: wal.SyncNone})
-	if err != nil {
-		b.Fatal(err)
-	}
-	rec := walRecord(256)
-	for i := 0; i < records; i++ {
-		if _, err := log.Append(rec); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := log.Close(); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.SetBytes(int64(records * (len(rec) + 8)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		l, err := wal.Open(dir, wal.Options{Policy: wal.SyncNone})
-		if err != nil {
-			b.Fatal(err)
-		}
-		counts := make([]uint64, lanes)
-		err = l.ReplaySharded(1, lanes,
-			func(seq uint64, _ []byte) int { return int(seq) % lanes },
-			func(lane int, _ uint64, _ []byte) error { counts[lane]++; return nil })
-		if err != nil {
-			b.Fatal(err)
-		}
-		var n uint64
-		for _, c := range counts {
-			n += c
-		}
-		if n != uint64(records) {
-			b.Fatalf("replayed %d records, want %d", n, records)
-		}
-		l.Close()
-	}
-}
-
 // walBenchmarks registers the durability microbenchmarks.
 func walBenchmarks() []Benchmark {
 	var out []Benchmark
@@ -174,13 +127,6 @@ func walBenchmarks() []Benchmark {
 		out = append(out, Benchmark{
 			Name: fmt.Sprintf("BenchmarkWALRecovery/records=%d", records),
 			F:    func(b *testing.B) { walRecovery(b, records) },
-		})
-	}
-	for _, lanes := range []int{2, 4, 8} {
-		lanes := lanes
-		out = append(out, Benchmark{
-			Name: fmt.Sprintf("BenchmarkWALRecoveryParallel/lanes=%d", lanes),
-			F:    func(b *testing.B) { walRecoveryParallel(b, 10000, lanes) },
 		})
 	}
 	return out

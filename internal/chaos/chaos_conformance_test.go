@@ -64,61 +64,15 @@ func TestConformance(t *testing.T) {
 	}
 }
 
-// TestConformanceQuorumSharded reruns the quorum cell of the matrix
-// with 4 execution shards per node. The deterministic simulator drives
-// every shard from one event loop, so the runs stay reproducible —
-// what changes is the protocol surface the sharding refactor touched:
-// per-shard request-id minting (id = n*S + shard), per-shard pending
-// maps, and key-to-shard routing of replica traffic. The same
-// nemesis schedules and seeds as TestConformance must still yield
-// complete, convergent histories; the quorum row makes no
-// linearizability or session claims, so those are not asserted. The
-// default quorum spec is untouched (core defaults to one shard), so
-// this cell shifting the shared random stream cannot perturb the
-// pinned seeds of the main matrix.
-func TestConformanceQuorumSharded(t *testing.T) {
-	spec := StoreSpec{
-		Name: "quorum-sharded",
-		Build: func(seed int64, latency sim.LatencyModel) System {
-			opts := core.Options{
-				Nodes:               5,
-				Seed:                seed,
-				Latency:             latency,
-				AntiEntropyInterval: 200 * time.Millisecond,
-				ReadRepair:          true,
-				QuorumShards:        4,
-			}
-			return CoreSystem(core.Quorum, opts)
-		},
-	}
-	for _, sched := range Schedules() {
-		sched := sched
-		t.Run(sched.Name, func(t *testing.T) {
-			t.Parallel()
-			for _, seed := range conformanceSeeds {
-				rep := Conformance(spec, sched, seed, RecordConfig{})
-				t.Logf("%s", rep.String())
-				if rep.Stats.Invoked == 0 {
-					t.Fatalf("seed %d: no operations invoked", seed)
-				}
-				if !rep.Converged {
-					t.Errorf("seed %d: replicas did not converge after heal: %s",
-						seed, rep.Disagreement)
-				}
-			}
-		})
-	}
-}
-
 // TestConformanceQuorumLSM reruns the quorum cell of the matrix with
 // every node's replica state on disk-resident LSM engines instead of
 // the in-memory KV. The memtable threshold is tiny so the runs
 // continuously flush, merge, and read across the memtable/SSTable
 // boundary under nemesis schedules — the storage engine must be
 // invisible to the protocol. Engines run with inline (non-Async)
-// compaction so the simulator stays deterministic. Like the sharded
-// cell, this spec is additive: the main matrix's quorum row still
-// builds in-memory nodes, so the pinned seeds are unperturbed.
+// compaction so the simulator stays deterministic. This spec is
+// additive: the main matrix's quorum row still builds in-memory nodes,
+// so the pinned seeds are unperturbed.
 func TestConformanceQuorumLSM(t *testing.T) {
 	dir := t.TempDir()
 	var builds atomic.Int64

@@ -94,17 +94,11 @@ type Options struct {
 	Nodes int
 	// Shards is the per-DC shard count for Causal (default 2).
 	Shards int
-	// QuorumShards is the execution shard count for the Quorum model's
-	// nodes (default 1 — the classic single actor loop). Under the
-	// deterministic simulator sharding changes the protocol surface
-	// (per-shard request-id minting and state partitioning) without
-	// introducing real concurrency, so seeded runs stay reproducible.
-	QuorumShards int
 	// QuorumStorage, when non-nil, builds the storage engine backing
-	// each Quorum node's replica-state shards (e.g. disk-resident LSM
-	// engines rooted in per-node directories). Default: in-memory
-	// storage.KV per shard. Engines are released by Cluster teardown via
-	// quorum.Node.Close.
+	// each Quorum node's replica state (e.g. a disk-resident LSM engine
+	// rooted in a per-node directory); the int argument is always 0.
+	// Default: in-memory storage.KV. Engines are released by Cluster
+	// teardown via quorum.Node.Close.
 	QuorumStorage func(node string, shard int) storage.Engine
 	// Seed drives all randomness.
 	Seed int64
@@ -310,7 +304,6 @@ func (c *Cluster) buildQuorum() {
 		Ring: ids, N: c.opts.N, R: c.opts.R, W: c.opts.W,
 		ReadRepair: c.opts.ReadRepair, SloppyQuorum: c.opts.SloppyQuorum,
 		Resilience: c.opts.Resilience, Directory: c.resDir, Counters: c.resCounters,
-		Shards: c.opts.QuorumShards,
 	}
 	for _, id := range ids {
 		nodeCfg := cfg
@@ -327,7 +320,7 @@ func (c *Cluster) buildQuorum() {
 }
 
 // Close releases resources held by the cluster's nodes (today: the
-// Quorum model's per-shard storage engines). Optional for purely
+// Quorum model's storage engines). Optional for purely
 // in-memory clusters.
 func (c *Cluster) Close() error {
 	var first error

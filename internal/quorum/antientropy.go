@@ -60,8 +60,8 @@ type aeTick struct{}
 
 // tree returns (creating lazily) the Merkle tree tracking keys shared
 // with peer. aeMu guards only the map — each tree synchronizes itself —
-// because noteKeyChanged runs on shard goroutines while the AE exchange
-// runs on the serial loop.
+// so installs driven from outside the actor loop (recovery,
+// ApplyVersion) stay safe.
 func (n *Node) tree(peer string) *storage.Merkle {
 	n.aeMu.Lock()
 	defer n.aeMu.Unlock()
@@ -103,7 +103,7 @@ func entriesDigest(es []clock.SiblingEntry[record]) uint64 {
 
 // noteKeyChanged sets key's digest, computed from es (the set just
 // installed), in every peer tree that shares the key. Caller holds the
-// key's shard lock, so digests land in install order.
+// replica-state lock, so digests land in install order.
 func (n *Node) noteKeyChanged(key string, es []clock.SiblingEntry[record]) {
 	if !n.cfg.AntiEntropy {
 		return
@@ -170,16 +170,16 @@ func (n *Node) entriesInBuckets(peer string, buckets []int) []aeEntry {
 }
 
 func (n *Node) handleAEResp(env sim.Env, from string, m aeResp) {
-	n.applyAEEntries(execDomain(env), m.Entries)
+	n.applyAEEntries(m.Entries)
 	env.Send(from, aePush{Entries: n.entriesInBuckets(from, m.Buckets)})
 	atomic.AddUint64(&n.AESyncs, 1)
 }
 
-func (n *Node) applyAEEntries(domain int, entries []aeEntry) {
+func (n *Node) applyAEEntries(entries []aeEntry) {
 	for _, e := range entries {
 		if !contains(n.PreferenceList(e.Key), n.id) {
 			continue // not a replica of this key; ignore
 		}
-		n.installEntries(domain, e.Key, e.Entries...)
+		n.installEntries(e.Key, e.Entries...)
 	}
 }

@@ -133,7 +133,7 @@ func TestAntiEntropyIgnoresKeysOutsidePreferenceList(t *testing.T) {
 		t.Fatal("could not find an outsider node")
 	}
 	evil := clock.SiblingEntry[record]{DVV: clock.NewDVV("attacker", nil), Value: record{Value: []byte("evil")}}
-	outsider.applyAEEntries(0, []aeEntry{{Key: key, Entries: []clock.SiblingEntry[record]{evil}}})
+	outsider.applyAEEntries([]aeEntry{{Key: key, Entries: []clock.SiblingEntry[record]{evil}}})
 	if len(outsider.LocalValues(key)) != 0 {
 		t.Fatal("outsider stored a key it does not replicate")
 	}

@@ -5,7 +5,6 @@ import (
 	"encoding/gob"
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/clock"
 )
@@ -26,53 +25,21 @@ type quorumImage struct {
 }
 
 // StateSnapshot serializes the node's durable state for a checkpoint.
-// Shards are captured concurrently (each under its own lock); the
-// resulting image is byte-identical to the unsharded layout. The caller
+// It runs off the actor loop, under the replica-state lock. The caller
 // fixes the WAL sequence the checkpoint covers before invoking this, so
 // any mutation the capture races is also in the replayed suffix and
 // re-applies idempotently.
 func (n *Node) StateSnapshot() ([]byte, error) {
-	type shardImage struct {
-		keys   []string
-		sets   map[string][]clock.SiblingEntry[record]
-		minted map[string]uint64
-	}
-	images := make([]shardImage, len(n.shards))
-	var wg sync.WaitGroup
-	for i, sh := range n.shards {
-		wg.Add(1)
-		go func(i int, sh *nodeShard) {
-			defer wg.Done()
-			sh.mu.RLock()
-			defer sh.mu.RUnlock()
-			pairs := sh.store.Scan("", "", 0)
-			im := shardImage{
-				sets:   make(map[string][]clock.SiblingEntry[record], len(pairs)),
-				minted: make(map[string]uint64, len(sh.minted)),
-			}
-			for _, p := range pairs {
-				im.keys = append(im.keys, p.Key)
-				im.sets[p.Key] = decodeEntries(p.Version.Value)
-			}
-			for k, c := range sh.minted {
-				im.minted[k] = c
-			}
-			images[i] = im
-		}(i, sh)
-	}
-	wg.Wait()
-
 	img := quorumImage{Minted: make(map[string]uint64)}
-	for _, im := range images {
-		img.Keys = append(img.Keys, im.keys...)
-		for k, c := range im.minted {
-			img.Minted[k] = c
-		}
+	n.rs.mu.RLock()
+	for _, p := range n.rs.store.Scan("", "", 0) {
+		img.Keys = append(img.Keys, p.Key)
+		img.Sets = append(img.Sets, decodeEntries(p.Version.Value))
 	}
-	sort.Strings(img.Keys)
-	for _, k := range img.Keys {
-		img.Sets = append(img.Sets, images[n.router.Shard(k)].sets[k])
+	for k, c := range n.rs.minted {
+		img.Minted[k] = c
 	}
+	n.rs.mu.RUnlock()
 	n.hintsMu.Lock()
 	intendeds := make([]string, 0, len(n.hints))
 	for intended := range n.hints {
@@ -137,15 +104,10 @@ func (n *Node) RestoreState(state []byte) error {
 		return fmt.Errorf("quorum: malformed snapshot: %d keys, %d sets", len(img.Keys), len(img.Sets))
 	}
 	for i, key := range img.Keys {
-		n.installEntries(0, key, img.Sets[i]...)
+		n.installEntries(key, img.Sets[i]...)
 	}
 	for k, c := range img.Minted {
-		sh := n.shardFor(k)
-		sh.mu.Lock()
-		if c > sh.minted[k] {
-			sh.minted[k] = c
-		}
-		sh.mu.Unlock()
+		n.restoreMinted(k, c)
 	}
 	for _, h := range img.Hints {
 		n.storeHint(h.Intended, h.Key, h.Entry)

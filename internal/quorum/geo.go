@@ -100,8 +100,8 @@ func (n *Node) splitGeo(prefs []string) (sync, async []string) {
 	return sync, async
 }
 
-// geoEnqueue retains one entry for a cross-zone peer. Runs on the
-// write's shard goroutine; the serial-loop flush tick ships it.
+// geoEnqueue retains one entry for a cross-zone peer; the flush tick
+// ships it.
 func (n *Node) geoEnqueue(peer, key string, e clock.SiblingEntry[record]) {
 	n.geoMu.Lock()
 	if n.geoPeers == nil {
@@ -206,7 +206,7 @@ func (n *Node) geoBeacon(env sim.Env) {
 // source zone's high-water timestamp.
 func (n *Node) handleGeoShip(env sim.Env, from string, m geoShip) {
 	for _, ae := range m.Items {
-		n.installEntries(execDomain(env), ae.Key, ae.Entries...)
+		n.installEntries(ae.Key, ae.Entries...)
 	}
 	if m.Zone != "" {
 		n.geoMu.Lock()
@@ -248,7 +248,7 @@ func (n *Node) handleGeoAck(env sim.Env, from string, m geoShipAck) {
 	more := len(g.queue) > 0 && g.inflight == 0
 	n.geoMu.Unlock()
 	atomic.AddUint64(&n.GeoAcked, uint64(drop))
-	n.persistRecord(execDomain(env), walRecord{GeoAck: &geoAckRec{Peer: from, Seq: m.Seq}})
+	n.persistRecord(walRecord{GeoAck: &geoAckRec{Peer: from, Seq: m.Seq}})
 	if more {
 		n.geoShipTo(env, from)
 	}

@@ -230,13 +230,13 @@ func TestGeoAckJournalRoundTrip(t *testing.T) {
 	cfg := Config{N: 3, R: 1, W: 1, Ring: []string{"a", "b", "c"},
 		Zone: "us", Zones: map[string]string{"a": "us", "b": "eu", "c": "ap"}, GeoAsync: true}
 	var journal [][]byte
-	cfg.PersistAt = func(_ int, rec []byte) { journal = append(journal, append([]byte(nil), rec...)) }
+	cfg.Persist = func(rec []byte) { journal = append(journal, append([]byte(nil), rec...)) }
 	n := NewNode("a", cfg)
 	n.geoRestoreAck("b", 7)
-	n.persistRecord(0, walRecord{GeoAck: &geoAckRec{Peer: "b", Seq: 7}})
+	n.persistRecord(walRecord{GeoAck: &geoAckRec{Peer: "b", Seq: 7}})
 
 	cfg2 := cfg
-	cfg2.PersistAt = nil
+	cfg2.Persist = nil
 	n2 := NewNode("a", cfg2)
 	for _, rec := range journal {
 		if err := n2.ReplayRecord(rec); err != nil {

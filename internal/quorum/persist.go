@@ -70,10 +70,10 @@ type transferDoneRec struct {
 }
 
 // Record layout. Every record is a one-byte magic, for key-addressed
-// records the key's 64-bit shard hash — so parallel replay can route a
-// raw record to its shard in O(1) without decoding it (see ReplayDomain)
-// — and then the record itself: a uvarint tag naming the set field,
-// followed by that field's members in the wire codec's layout.
+// records the key's 64-bit hash (storage.KeyHash, checked against the
+// decoded key on replay) and then the record itself: a uvarint tag
+// naming the set field, followed by that field's members in the wire
+// codec's layout.
 const (
 	recMagicKeyed  = 0xEC // [magic][8-byte LE key hash][tag][fields]
 	recMagicSerial = 0xED // [magic][tag][fields]
@@ -89,8 +89,8 @@ const (
 	recGeoAck
 )
 
-// recordKey returns the routing key of a record, or "" for records bound
-// to the serial domain (transfer completions are epoch-, geo acks
+// recordKey returns the key a record is about, or "" for records not
+// tied to one key (transfer completions are epoch-, geo acks
 // peer-scoped).
 func (r walRecord) recordKey() (string, bool) {
 	switch {
@@ -190,24 +190,10 @@ func decodeRecord(rec []byte) (walRecord, error) {
 	return r, nil
 }
 
-// ReplayDomain routes a raw journaled record for parallel replay: the
-// owning shard index for key-addressed records, -1 for records that must
-// replay on the serial lane (transfer completions and geo acks, whose
-// ordering against everything else is then preserved by the single
-// serial lane).
-func (n *Node) ReplayDomain(rec []byte) int {
-	if len(rec) >= 9 && rec[0] == recMagicKeyed {
-		return n.router.ShardOfHash(binary.LittleEndian.Uint64(rec[1:9]))
-	}
-	return -1
-}
-
-// persistRecord journals one mutation. domain names the execution domain
-// the mutation ran on (0 = serial loop, 1+i = shard i) so the hosting
-// server can account the pending fsync to the right ack barrier.
-func (n *Node) persistRecord(domain int, r walRecord) {
-	if n.cfg.PersistAt != nil {
-		n.cfg.PersistAt(domain, appendRecord(nil, r))
+// persistRecord journals one mutation.
+func (n *Node) persistRecord(r walRecord) {
+	if n.cfg.Persist != nil {
+		n.cfg.Persist(appendRecord(nil, r))
 	}
 }
 
@@ -215,20 +201,19 @@ func (n *Node) persistRecord(domain int, r walRecord) {
 // the ones that changed it. This is the single install path shared by
 // replica puts, handoff delivery, read repair, active anti-entropy,
 // transfer, geo shipping, and WAL replay (which runs with journaling
-// off). domain is the executing durability domain (see persistRecord).
+// off).
 //
 // With anti-entropy on, the key's Merkle digest is refreshed from the
-// set in hand, under the shard lock so concurrent installs of one key
-// fold their digests in install order. An unchanged set refreshes too:
+// set in hand, under the store lock so digests land in install order. An unchanged set refreshes too:
 // that is a no-op in trees already holding the digest, and it is how a
 // key enters the tree of a peer that joined after the key last changed.
-func (n *Node) installEntries(domain int, key string, es ...clock.SiblingEntry[record]) {
+func (n *Node) installEntries(key string, es ...clock.SiblingEntry[record]) {
 	if len(es) == 0 {
 		return
 	}
-	sh := n.shardFor(key)
-	sh.mu.Lock()
-	before, existed := sh.stored(key)
+	rs := n.rs
+	rs.mu.Lock()
+	before, existed := rs.stored(key)
 	sib := &clock.Siblings[record]{}
 	for _, e := range before {
 		sib.Add(e.DVV, e.Value)
@@ -239,20 +224,17 @@ func (n *Node) installEntries(domain int, key string, es ...clock.SiblingEntry[r
 	after := sib.Entries()
 	changed := !existed || !sameEntries(before, after)
 	if changed {
-		sh.setSiblings(key, after)
+		rs.setSiblings(key, after)
 	}
 	n.noteKeyChanged(key, after)
-	sh.mu.Unlock()
-	if !changed || n.cfg.PersistAt == nil {
+	rs.mu.Unlock()
+	if !changed || n.cfg.Persist == nil {
 		return // duplicate or obsolete versions: nothing to journal
 	}
-	// Journaled outside the lock: concurrent installs of the same key are
-	// causally unordered, and replaying their records in either order
-	// joins to the same sibling set (Siblings.Add is a semilattice merge).
 	// A version dropped within this batch is covered by its successor.
 	for _, e := range es {
 		if hasDot(after, e.DVV.Dot) && !hasDot(before, e.DVV.Dot) {
-			n.persistRecord(domain, walRecord{Entry: &entryRec{Key: key, Entry: e}})
+			n.persistRecord(walRecord{Entry: &entryRec{Key: key, Entry: e}})
 		}
 	}
 }
@@ -263,7 +245,7 @@ func (n *Node) installEntries(domain int, key string, es ...clock.SiblingEntry[r
 // record when journaling. Stage benchmarks drive replica apply through
 // it.
 func (n *Node) ApplyVersion(key string, dot clock.Dot, ctx clock.Vector, value []byte) {
-	n.installEntries(0, key, clock.SiblingEntry[record]{DVV: clock.DVV{Dot: dot, Context: ctx}, Value: record{Value: value}})
+	n.installEntries(key, clock.SiblingEntry[record]{DVV: clock.DVV{Dot: dot, Context: ctx}, Value: record{Value: value}})
 }
 
 // storeHint queues a version for intended, deduplicating by dot so
@@ -303,13 +285,10 @@ func (n *Node) dropHints(intended, key string) int {
 
 // ReplayRecord re-applies one journaled mutation during crash recovery.
 // Must run before the node starts exchanging messages, with journaling
-// off (the server's PersistAt drops records while it recovers) so replay
-// does not re-journal. Records for different keys may be replayed concurrently
-// (the parallel recovery path partitions the journal with ReplayDomain);
-// per-key structures are lock-guarded, and serial-domain records must
-// stay on the single serial replay lane. Bytes that are not a record
-// written by persistRecord are an error, never a panic. rec is not
-// retained.
+// off (the server's Persist drops records while it recovers) so replay
+// does not re-journal. Records replay one at a time, in journal order.
+// Bytes that are not a record written by persistRecord are an error,
+// never a panic. rec is not retained.
 func (n *Node) ReplayRecord(rec []byte) error {
 	r, err := decodeRecord(rec)
 	if err != nil {
@@ -317,7 +296,7 @@ func (n *Node) ReplayRecord(rec []byte) error {
 	}
 	switch {
 	case r.Entry != nil:
-		n.installEntries(0, r.Entry.Key, r.Entry.Entry)
+		n.installEntries(r.Entry.Key, r.Entry.Entry)
 	case r.Hint != nil:
 		e := r.Hint.Entry
 		e.Value.Value = bytes.Clone(e.Value.Value) // the hint queue retains it
@@ -325,12 +304,7 @@ func (n *Node) ReplayRecord(rec []byte) error {
 	case r.HintAck != nil:
 		n.dropHints(r.HintAck.Intended, r.HintAck.Key)
 	case r.Mint != nil:
-		sh := n.shardFor(r.Mint.Key)
-		sh.mu.Lock()
-		if r.Mint.Counter > sh.minted[r.Mint.Key] {
-			sh.minted[r.Mint.Key] = r.Mint.Counter
-		}
-		sh.mu.Unlock()
+		n.restoreMinted(r.Mint.Key, r.Mint.Counter)
 	case r.TransferDone != nil:
 		n.markTransferDone(r.TransferDone.Seq, r.TransferDone.Idx)
 	case r.GeoAck != nil:

@@ -76,29 +76,17 @@ type Config struct {
 	Directory *resilience.Directory
 	// Counters receives resilience event counts. May be nil.
 	Counters *resilience.Counters
-	// PersistAt, when set, journals every durable-state mutation
-	// (sibling installs, hint stores/acks, minted dot counters) before
-	// any acknowledgement leaves the node — the hook the server runtime
-	// wires to its WAL. domain names the executing durability domain: 0
-	// is the serial actor loop, 1+i is shard i's goroutine. The record
-	// carries a routing header so replay can repartition it (see
-	// ReplayDomain). It may be invoked concurrently from different
-	// domains, never concurrently within one, and may retain rec.
-	PersistAt func(domain int, rec []byte)
-	// Persist is PersistAt without the domain, for single-journal hosts
-	// (the e2ebench layer replay sets it): it receives the same framed
-	// records. Ignored when PersistAt is set.
+	// Persist, when set, journals every durable-state mutation (sibling
+	// installs, hint stores/acks, minted dot counters) before any
+	// acknowledgement leaves the node — the hook the server runtime
+	// wires to its WAL. It runs on the node's actor loop and may retain
+	// rec.
 	Persist func(rec []byte)
-	// Shards splits the node's replica state into this many key-range
-	// execution domains (rounded up to a power of two; default 1, fully
-	// serial). See shard.go.
-	Shards int
-	// Storage, when non-nil, builds the storage engine backing each
-	// replica-state shard (called once per shard index in [0, Shards
-	// rounded up)). Default: the in-memory storage.KV. The server wires
-	// disk-resident LSM engines through this; engines are released by
-	// Node.Close.
-	Storage func(shard int) storage.Engine
+	// Storage, when non-nil, builds the storage engine backing the
+	// node's replica state; it is called once, with 0. Default: the
+	// in-memory storage.KV. The server wires a disk-resident LSM engine
+	// through this; the engine is released by Node.Close.
+	Storage func(int) storage.Engine
 	// Placement, when non-nil, overrides Ring-order placement: a key's
 	// preference list is Sequence(key)[:N] and its sloppy fallbacks the
 	// remainder of the sequence. internal/ring's consistent-hash ring
@@ -372,18 +360,25 @@ type Node struct {
 	cfg Config
 	id  string
 
-	// members is the live membership list: shard goroutines walk it for
-	// placement while SetMembers swaps it on the serial loop.
+	// members is the live membership list: hosts call PreferenceList
+	// off-loop while SetMembers swaps it on the actor loop.
 	members atomic.Pointer[[]string]
 
-	// Replica state lives in key-range shards (one with Shards <= 1);
-	// router maps keys to them. See shard.go for the locking story.
-	router storage.ShardRouter
-	shards []*nodeShard
+	// rs is the replica state (see store.go).
+	rs *replicaState
+
+	// Coordination state, confined to the actor loop: request ids tag
+	// replica RPCs and their responses route back by id.
+	nextReq uint64
+	writes  map[uint64]*pendingWrite
+	reads   map[uint64]*pendingRead
+	// repairs holds completed reads still awaiting late replica
+	// responses for background read repair.
+	repairs map[uint64]*repairState
 
 	// hints holds writes accepted on behalf of unreachable nodes:
-	// intended node -> key -> entries. Guarded by hintsMu: stored on the
-	// key's shard goroutine, delivered and acked on the serial loop.
+	// intended node -> key -> entries. Guarded by hintsMu: checkpoint
+	// capture reads it off-loop.
 	hintsMu sync.Mutex
 	hints   map[string]map[string][]clock.SiblingEntry[record]
 
@@ -394,12 +389,12 @@ type Node struct {
 	aeTrees map[string]*storage.Merkle
 
 	// Elasticity state (see transfer.go). elMu guards inbound and its
-	// completion flags — the read path consults them from shard
-	// goroutines (gatedKey) while the serial loop advances the transfer.
+	// completion flags — the host polls CatchingUp off-loop while the
+	// actor loop advances the transfer.
 	// xferDone remembers journaled range completions per epoch so a
 	// restart resumes instead of re-pulling; xferCursor tracks per-range
 	// pull cursors for retry; xferOut stashes throttled outbound batches
-	// (all three serial-loop-confined).
+	// (all three loop-confined).
 	elMu       sync.RWMutex
 	inbound    *catchUp
 	xferDone   map[uint64]map[int]bool
@@ -413,13 +408,13 @@ type Node struct {
 	tbInit   bool
 
 	// Geo-replication state (see geo.go). geoMu guards geoPeers and
-	// zoneHigh: enqueue runs on write shard goroutines, ship/ack on the
-	// serial loop, and the metrics endpoint reads both off-loop.
+	// zoneHigh: the actor loop enqueues, ships and acks, while the
+	// metrics endpoint and checkpoint capture read both off-loop.
 	geoMu    sync.Mutex
 	geoPeers map[string]*geoPeer
 	zoneHigh map[string]int64 // source zone -> high-water wall-clock ms
 
-	// Stats (written with atomic adds: shard goroutines race each other).
+	// Stats (written with atomic adds: /metrics reads them off-loop).
 	ReadRepairsSent uint64
 	HintsStored     uint64
 	HintsDelivered  uint64
@@ -441,23 +436,19 @@ func NewNode(id string, cfg Config) *Node {
 	if err := cfg.Validate(); err != nil {
 		panic(err.Error())
 	}
-	if persist := cfg.Persist; persist != nil && cfg.PersistAt == nil {
-		cfg.PersistAt = func(_ int, rec []byte) { persist(rec) }
-	}
-	router := storage.NewShardRouter(cfg.Shards)
-	engineFor := cfg.Storage
-	if engineFor == nil {
-		engineFor = func(int) storage.Engine { return storage.NewKV() }
-	}
-	shards := make([]*nodeShard, router.Shards())
-	for i := range shards {
-		shards[i] = newNodeShard(engineFor(i))
+	var engine storage.Engine
+	if cfg.Storage != nil {
+		engine = cfg.Storage(0)
+	} else {
+		engine = storage.NewKV()
 	}
 	n := &Node{
 		cfg:        cfg,
 		id:         id,
-		router:     router,
-		shards:     shards,
+		rs:         &replicaState{store: engine, minted: make(map[string]uint64)},
+		writes:     make(map[uint64]*pendingWrite),
+		reads:      make(map[uint64]*pendingRead),
+		repairs:    make(map[uint64]*repairState),
 		hints:      make(map[string]map[string][]clock.SiblingEntry[record]),
 		xferDone:   make(map[uint64]map[int]bool),
 		xferCursor: make(map[xferKey]cursorPos),
@@ -604,12 +595,12 @@ func (n *Node) OnMessage(env sim.Env, from string, msg sim.Message) {
 	case replicaGetResp:
 		n.onGetResp(env, from, m)
 	case handoffDeliver:
-		n.installEntries(execDomain(env), m.Key, m.Entries...)
+		n.installEntries(m.Key, m.Entries...)
 		env.Send(from, handoffAck{Key: m.Key})
 	case handoffAck:
 		if dropped := n.dropHints(from, m.Key); dropped > 0 {
 			atomic.AddUint64(&n.HintsDelivered, uint64(dropped))
-			n.persistRecord(execDomain(env), walRecord{HintAck: &hintAckRec{Intended: from, Key: m.Key}})
+			n.persistRecord(walRecord{HintAck: &hintAckRec{Intended: from, Key: m.Key}})
 		}
 	case resPing:
 		env.Send(from, resPong{})
@@ -620,7 +611,7 @@ func (n *Node) OnMessage(env sim.Env, from string, msg sim.Message) {
 	case aeResp:
 		n.handleAEResp(env, from, m)
 	case aePush:
-		n.applyAEEntries(execDomain(env), m.Entries)
+		n.applyAEEntries(m.Entries)
 	case transferReq:
 		n.handleTransferReq(env, from, m)
 	case transferBatch:
@@ -635,23 +626,14 @@ func (n *Node) OnMessage(env sim.Env, from string, msg sim.Message) {
 }
 
 func (n *Node) localEntries(key string) []clock.SiblingEntry[record] {
-	sh := n.shardFor(key)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return sh.entries(key) // decoded fresh; safe past the unlock
+	n.rs.mu.RLock()
+	defer n.rs.mu.RUnlock()
+	return n.rs.entries(key) // decoded fresh; safe past the unlock
 }
 
-// Close releases the per-shard storage engines (flushing disk-resident
-// ones). The node must be detached from its transport first.
-func (n *Node) Close() error {
-	var first error
-	for _, sh := range n.shards {
-		if err := sh.store.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
+// Close releases the storage engine (flushing a disk-resident one). The
+// node must be detached from its transport first.
+func (n *Node) Close() error { return n.rs.store.Close() }
 
 // hintedEntries returns every hinted write this node holds for key, in
 // sorted intended-node order so response contents are deterministic.
@@ -708,19 +690,17 @@ func (n *Node) coordinatePut(env sim.Env, client string, m clientPut) {
 		}
 		dvv = clock.DVV{Dot: clock.Dot{Node: client, Counter: ctr}, Context: ctx}
 	} else {
-		sh := n.shardFor(m.Key)
-		sh.mu.Lock()
-		dvv = clock.MintDVV(n.id, m.Context, sh.minted[m.Key])
-		sh.minted[m.Key] = dvv.Dot.Counter
-		sh.mu.Unlock()
+		n.rs.mu.Lock()
+		dvv = clock.MintDVV(n.id, m.Context, n.rs.minted[m.Key])
+		n.rs.minted[m.Key] = dvv.Dot.Counter
+		n.rs.mu.Unlock()
 		// Journal the counter: reissuing a dot after a crash would let
 		// two distinct writes silently supersede each other.
-		n.persistRecord(execDomain(env), walRecord{Mint: &mintRec{Key: m.Key, Counter: dvv.Dot.Counter}})
+		n.persistRecord(walRecord{Mint: &mintRec{Key: m.Key, Counter: dvv.Dot.Counter}})
 	}
 	entry := clock.SiblingEntry[record]{DVV: dvv, Value: record{Value: m.Value, Deleted: m.Deleted}}
 
-	shardIdx := n.router.Shard(m.Key)
-	id := n.mintReq(shardIdx)
+	id := n.mintReq()
 	pw := &pendingWrite{
 		client:   client,
 		id:       m.ID,
@@ -752,7 +732,7 @@ func (n *Node) coordinatePut(env sim.Env, client string, m clientPut) {
 			}
 		}
 	}
-	n.shards[shardIdx].writes[id] = pw
+	n.writes[id] = pw
 
 	for _, rep := range syncPrefs {
 		env.Send(rep, replicaPut{ID: id, Key: m.Key, Entry: entry})
@@ -778,7 +758,7 @@ func (n *Node) coordinatePut(env sim.Env, client string, m clientPut) {
 					continue
 				}
 				if old == n.id {
-					n.installEntries(execDomain(env), m.Key, entry)
+					n.installEntries(m.Key, entry)
 					continue
 				}
 				env.Send(old, replicaPut{Key: m.Key, Entry: entry, Repair: true})
@@ -815,7 +795,7 @@ func (n *Node) engageFallback(env sim.Env, id uint64, pw *pendingWrite, pref str
 // entry to every replica that has not acked, within the policy's attempt
 // budget, backing off between rounds.
 func (n *Node) retryWrite(env sim.Env, id uint64) {
-	pw, ok := n.reqShard(id).writes[id]
+	pw, ok := n.writes[id]
 	if !ok || pw.done {
 		return
 	}
@@ -869,10 +849,10 @@ func (n *Node) applyReplicaPut(env sim.Env, from string, m replicaPut) {
 		// the queue stays at-most-once like the sibling sets themselves.
 		if n.storeHint(m.Hint, m.Key, m.Entry) {
 			atomic.AddUint64(&n.HintsStored, 1)
-			n.persistRecord(execDomain(env), walRecord{Hint: &hintRec{Intended: m.Hint, Key: m.Key, Entry: m.Entry}})
+			n.persistRecord(walRecord{Hint: &hintRec{Intended: m.Hint, Key: m.Key, Entry: m.Entry}})
 		}
 	} else {
-		n.installEntries(execDomain(env), m.Key, m.Entry)
+		n.installEntries(m.Key, m.Entry)
 	}
 	if !m.Repair {
 		env.Send(from, replicaPutAck{ID: m.ID})
@@ -880,7 +860,7 @@ func (n *Node) applyReplicaPut(env sim.Env, from string, m replicaPut) {
 }
 
 func (n *Node) onPutAck(env sim.Env, from string, id uint64) {
-	pw, ok := n.reqShard(id).writes[id]
+	pw, ok := n.writes[id]
 	if !ok || pw.done {
 		return
 	}
@@ -892,7 +872,7 @@ func (n *Node) onPutAck(env sim.Env, from string, id uint64) {
 
 func (n *Node) finishWrite(env sim.Env, id uint64, pw *pendingWrite, errStr string) {
 	pw.done = true
-	delete(n.reqShard(id).writes, id)
+	delete(n.writes, id)
 	env.Cancel(pw.timer)
 	ctx := pw.entry.DVV.Context.Copy()
 	if ctx.Get(pw.entry.DVV.Dot.Node) < pw.entry.DVV.Dot.Counter {
@@ -902,7 +882,7 @@ func (n *Node) finishWrite(env sim.Env, id uint64, pw *pendingWrite, errStr stri
 }
 
 func (n *Node) writeTimeout(env sim.Env, id uint64) {
-	pw, ok := n.reqShard(id).writes[id]
+	pw, ok := n.writes[id]
 	if !ok || pw.done {
 		return
 	}
@@ -938,8 +918,7 @@ func (n *Node) writeTimeout(env sim.Env, id uint64) {
 // the race probabilistically-bounded staleness quantifies.
 func (n *Node) coordinateGet(env sim.Env, client string, m clientGet) {
 	prefs := n.PreferenceList(m.Key)
-	shardIdx := n.router.Shard(m.Key)
-	id := n.mintReq(shardIdx)
+	id := n.mintReq()
 	needed := n.cfg.R
 	if m.R > 0 {
 		// Per-request SLA override: an eventual-tier read asks for R=1.
@@ -964,7 +943,7 @@ func (n *Node) coordinateGet(env sim.Env, client string, m clientGet) {
 		// must reach the old owners further along the new ring's walk.
 		pr.fallbacks = n.fallbackList(m.Key)
 	}
-	n.shards[shardIdx].reads[id] = pr
+	n.reads[id] = pr
 	for _, rep := range prefs {
 		env.Send(rep, replicaGet{ID: id, Key: m.Key})
 		pr.asked[rep] = true
@@ -996,7 +975,7 @@ func (n *Node) askReadFallback(env sim.Env, id uint64, pr *pendingRead) {
 // retryRead is one retransmission round for a pending read: re-ask every
 // node that has not responded, within the policy's attempt budget.
 func (n *Node) retryRead(env sim.Env, id uint64) {
-	pr, ok := n.reqShard(id).reads[id]
+	pr, ok := n.reads[id]
 	if !ok || pr.done {
 		return
 	}
@@ -1042,15 +1021,15 @@ func (n *Node) onGetResp(env sim.Env, from string, m replicaGetResp) {
 		// A catching-up replica refused to answer: it does not count
 		// toward R. Ask the next fallback — the old owners sit in the
 		// new ring's walk right after the replicas.
-		if pr, ok := n.reqShard(m.ID).reads[m.ID]; ok && !pr.done {
+		if pr, ok := n.reads[m.ID]; ok && !pr.done {
 			n.askReadFallback(env, m.ID, pr)
 		}
 		return
 	}
-	pr, ok := n.reqShard(m.ID).reads[m.ID]
+	pr, ok := n.reads[m.ID]
 	if !ok || pr.done {
 		// Late response after the quorum returned: background repair.
-		if rs, ok := n.reqShard(m.ID).repairs[m.ID]; ok {
+		if rs, ok := n.repairs[m.ID]; ok {
 			n.backgroundRepair(env, m.ID, rs, from, m.Entries)
 		}
 		return
@@ -1063,7 +1042,7 @@ func (n *Node) onGetResp(env sim.Env, from string, m replicaGetResp) {
 
 func (n *Node) finishRead(env sim.Env, id uint64, pr *pendingRead, errStr string) {
 	pr.done = true
-	delete(n.reqShard(id).reads, id)
+	delete(n.reads, id)
 	env.Cancel(pr.timer)
 
 	// Merge all sibling sets under DVV supersession.
@@ -1086,7 +1065,7 @@ func (n *Node) finishRead(env sim.Env, id uint64, pr *pendingRead, errStr string
 			}
 		}
 		if remaining > 0 {
-			n.reqShard(id).repairs[id] = &repairState{key: pr.key, merged: &merged, waiting: remaining}
+			n.repairs[id] = &repairState{key: pr.key, merged: &merged, waiting: remaining}
 		}
 	}
 
@@ -1121,7 +1100,7 @@ func (n *Node) backgroundRepair(env sim.Env, id uint64, rs *repairState, from st
 	}
 	rs.waiting--
 	if rs.waiting <= 0 {
-		delete(n.reqShard(id).repairs, id)
+		delete(n.repairs, id)
 	}
 }
 
@@ -1147,7 +1126,7 @@ func (n *Node) readRepair(env sim.Env, pr *pendingRead, merged []clock.SiblingEn
 			continue
 		}
 		if rep == n.id {
-			n.installEntries(execDomain(env), pr.key, merged...)
+			n.installEntries(pr.key, merged...)
 			continue
 		}
 		for _, e := range merged {
@@ -1180,7 +1159,7 @@ func hasDot(es []clock.SiblingEntry[record], d clock.Dot) bool {
 }
 
 func (n *Node) readTimeout(env sim.Env, id uint64) {
-	pr, ok := n.reqShard(id).reads[id]
+	pr, ok := n.reads[id]
 	if !ok || pr.done {
 		return
 	}
@@ -1191,8 +1170,9 @@ func (n *Node) readTimeout(env sim.Env, id uint64) {
 // Hints are retained until the intended node acknowledges them, so
 // delivery survives the target staying down across attempts.
 func (n *Node) attemptHandoff(env sim.Env) {
-	// Snapshot under the lock (copying each entry slice — the store path
-	// may append concurrently from a shard goroutine), then send.
+	// Snapshot under the lock (copying each entry slice — a receiver may
+	// still read a sent slice when a later storeHint appends to the
+	// queue), then send.
 	type delivery struct {
 		intended string
 		msg      handoffDeliver

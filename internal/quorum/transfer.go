@@ -260,10 +260,9 @@ func (n *Node) handleTransferBatch(env sim.Env, m transferBatch) {
 	if m.Nonce != cu.nonce[m.Idx] {
 		return // stale batch from a superseded request
 	}
-	dom := execDomain(env)
 	size := 0
 	for _, e := range m.Entries {
-		n.installEntries(dom, e.Key, e.Entries...)
+		n.installEntries(e.Key, e.Entries...)
 		for _, s := range e.Entries {
 			size += len(e.Key) + len(s.Value.Value) + 16*len(s.DVV.Context) + 16
 		}
@@ -284,7 +283,7 @@ func (n *Node) handleTransferBatch(env sim.Env, m transferBatch) {
 	// Journal completion so a restarted node does not re-pull the range.
 	p := cu.pulls[m.Idx]
 	n.markTransferDone(m.Seq, m.Idx)
-	n.persistRecord(dom, walRecord{TransferDone: &transferDoneRec{Seq: m.Seq, Idx: m.Idx, Start: p.Start, End: p.End}})
+	n.persistRecord(walRecord{TransferDone: &transferDoneRec{Seq: m.Seq, Idx: m.Idx, Start: p.Start, End: p.End}})
 	if cu.onProgress != nil {
 		cu.onProgress(len(cu.pulls)-cu.remaining, len(cu.pulls))
 	}
@@ -323,8 +322,7 @@ func (n *Node) finishCatchUp(env sim.Env) {
 }
 
 // gatedKey reports whether key sits in a still-incomplete inbound range:
-// this replica must not serve reads for it yet. Called from shard
-// goroutines and the read fast path, hence the lock.
+// this replica must not serve reads for it yet.
 func (n *Node) gatedKey(key string) bool {
 	n.elMu.RLock()
 	defer n.elMu.RUnlock()
@@ -349,25 +347,20 @@ func (n *Node) handleTransferReq(env sim.Env, from string, m transferReq) {
 		key  string
 	}
 	// Collect and order the keys in the arc; the cursor is exclusive.
-	// Each shard is scanned under its own read lock — the arc only
-	// overlaps the shards whose hash range it intersects, but scanning
-	// all of them keeps the (serial-loop) source path simple.
 	var keys []kh
-	for _, sh := range n.shards {
-		sh.mu.RLock()
-		for _, p := range sh.store.Scan("", "", 0) {
-			key := p.Key
-			h := ring.KeyHash(key)
-			if !rangeContains(m.Start, m.End, h) {
-				continue
-			}
-			if h < m.CurHash || (h == m.CurHash && key <= m.CurKey) {
-				continue
-			}
-			keys = append(keys, kh{hash: h, key: key})
+	n.rs.mu.RLock()
+	for _, p := range n.rs.store.Scan("", "", 0) {
+		key := p.Key
+		h := ring.KeyHash(key)
+		if !rangeContains(m.Start, m.End, h) {
+			continue
 		}
-		sh.mu.RUnlock()
+		if h < m.CurHash || (h == m.CurHash && key <= m.CurKey) {
+			continue
+		}
+		keys = append(keys, kh{hash: h, key: key})
 	}
+	n.rs.mu.RUnlock()
 	sort.Slice(keys, func(i, j int) bool {
 		if keys[i].hash != keys[j].hash {
 			return keys[i].hash < keys[j].hash
@@ -468,13 +461,11 @@ func (n *Node) Draining() bool { return n.draining.Load() }
 // frozen once draining begins (the decommission invariant).
 func (n *Node) MintedDots() uint64 {
 	var total uint64
-	for _, sh := range n.shards {
-		sh.mu.RLock()
-		for _, c := range sh.minted {
-			total += c
-		}
-		sh.mu.RUnlock()
+	n.rs.mu.RLock()
+	for _, c := range n.rs.minted {
+		total += c
 	}
+	n.rs.mu.RUnlock()
 	return total
 }
 
@@ -519,9 +510,9 @@ func (n *Node) SetMembers(members []string) {
 	}
 	n.hintsMu.Unlock()
 	for _, o := range orphans {
-		n.installEntries(0, o.key, o.entries...)
+		n.installEntries(o.key, o.entries...)
 		n.dropHints(o.intended, o.key)
-		n.persistRecord(0, walRecord{HintAck: &hintAckRec{Intended: o.intended, Key: o.key}})
+		n.persistRecord(walRecord{HintAck: &hintAckRec{Intended: o.intended, Key: o.key}})
 	}
 }
 

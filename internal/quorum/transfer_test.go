@@ -45,7 +45,7 @@ func TestTransferPullStreamsRangeGatesReadsAndThrottles(t *testing.T) {
 	doneAt := time.Duration(-1)
 	h.c.At(0, func() {
 		for i := 0; i < nKeys; i++ {
-			src.installEntries(0, fmt.Sprintf("xfer-%d", i), seedEntry(i, 128))
+			src.installEntries(fmt.Sprintf("xfer-%d", i), seedEntry(i, 128))
 		}
 		dst.BeginCatchUp(h.c.ClientEnv("s3"), 1,
 			[]TransferPull{{Source: "s0", Start: 0, End: 0}}, // (0,0] wraps: the whole circle

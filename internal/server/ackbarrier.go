@@ -20,38 +20,22 @@ import (
 // message, appending more records behind the in-flight fsync, which is
 // what forms WAL commit groups across concurrent client operations.
 //
-// A sharded node runs one barrier domain per execution domain (the
-// serial loop plus every shard goroutine): each domain has its own
-// deferred-send buffer, pending table, release queue, and release
-// goroutine, so the barrier stays lock-free — every piece is confined
-// to one goroutine exactly as the single-domain original was.
-//
-// Batches release strictly in invocation order within a domain. WAL
-// sequence numbers are assigned in append order and commits are
-// monotone, so a domain's queue never waits out of order; ordering also
-// means a non-persisting invocation's sends cannot overtake an earlier
-// persisting one's on the same domain. (Across domains there is no
-// order — the protocol already tolerates cross-key reordering.) The
-// fast path — nothing pending and the domain's queue drained — sends
-// inline, so reads and protocol chatter keep their direct-send latency.
+// Batches release strictly in invocation order. WAL sequence numbers
+// are assigned in append order and commits are monotone, so the queue
+// never waits out of order; ordering also means a non-persisting
+// invocation's sends cannot overtake an earlier persisting one's. The
+// fast path — nothing pending and the queue drained — sends inline, so
+// reads and protocol chatter keep their direct-send latency.
 type ackBarrier struct {
 	inner transport.Handler
 	dur   *durability
 	post  func(to string, msg transport.Message)
 
-	// doms[0] serves the serial actor loop, doms[1+k] shard k.
-	doms []*ackDomain
-}
-
-// ackDomain is one execution domain's slice of the barrier. Everything
-// except the release queue itself is confined to the domain's executor
-// goroutine.
-type ackDomain struct {
 	q      chan sendBatch
 	queued atomic.Int64 // batches enqueued but not yet fully posted
 	done   chan struct{}
 
-	env deferEnv // reused across invocations (each domain is single-threaded)
+	env deferEnv // reused across invocations (the actor loop is single-threaded)
 }
 
 type outMsg struct {
@@ -75,145 +59,76 @@ func (e *deferEnv) Send(to string, msg transport.Message) {
 	e.sends = append(e.sends, outMsg{to: to, msg: msg})
 }
 
-// Shard exposes the wrapped Env's execution domain so the protocol
-// node's execDomain sees through the barrier (the embedded interface
-// would hide it otherwise).
-func (e *deferEnv) Shard() int {
-	if se, ok := e.Env.(transport.ShardEnv); ok {
-		return se.Shard()
-	}
-	return -1
-}
-
-// newAckBarrier builds a barrier with domains execution domains: 1 for
-// a classic single-loop node, shards+1 for a sharded one. The
-// durability layer's pending tables must be sized to match
-// (durability.setDomains).
-func newAckBarrier(inner transport.Handler, dur *durability, domains int, post func(to string, msg transport.Message)) *ackBarrier {
-	if domains < 1 {
-		domains = 1
-	}
+// newAckBarrier builds a barrier around inner and starts its release
+// goroutine.
+func newAckBarrier(inner transport.Handler, dur *durability, post func(to string, msg transport.Message)) *ackBarrier {
 	b := &ackBarrier{
 		inner: inner,
 		dur:   dur,
 		post:  post,
-		doms:  make([]*ackDomain, domains),
+		q:     make(chan sendBatch, 1024),
+		done:  make(chan struct{}),
 	}
-	for i := range b.doms {
-		d := &ackDomain{
-			q:    make(chan sendBatch, 1024),
-			done: make(chan struct{}),
-		}
-		b.doms[i] = d
-		go b.release(d)
-	}
+	go b.release()
 	return b
 }
 
-// domain maps an invocation's Env to its barrier domain: the shard
-// index + 1 for a shard-loop invocation, 0 for the serial loop.
-func (b *ackBarrier) domain(env transport.Env) (int, *ackDomain) {
-	if se, ok := env.(transport.ShardEnv); ok {
-		if k := se.Shard(); k >= 0 && k+1 < len(b.doms) {
-			return k + 1, b.doms[k+1]
-		}
-	}
-	return 0, b.doms[0]
-}
-
 func (b *ackBarrier) OnStart(env transport.Env) {
-	i, d := b.domain(env)
-	d.env.Env, d.env.sends = env, d.env.sends[:0]
-	b.inner.OnStart(&d.env)
-	b.finish(i, d, env)
+	b.env.Env, b.env.sends = env, b.env.sends[:0]
+	b.inner.OnStart(&b.env)
+	b.finish(env)
 }
 
 func (b *ackBarrier) OnMessage(env transport.Env, from string, msg transport.Message) {
-	i, d := b.domain(env)
-	d.env.Env, d.env.sends = env, d.env.sends[:0]
-	b.inner.OnMessage(&d.env, from, msg)
-	b.finish(i, d, env)
+	b.env.Env, b.env.sends = env, b.env.sends[:0]
+	b.inner.OnMessage(&b.env, from, msg)
+	b.finish(env)
 }
 
 func (b *ackBarrier) OnTimer(env transport.Env, tag any) {
-	i, d := b.domain(env)
-	d.env.Env, d.env.sends = env, d.env.sends[:0]
-	b.inner.OnTimer(&d.env, tag)
-	b.finish(i, d, env)
-}
-
-// Shards forwards the inner handler's shard declaration so the
-// transport discovers sharded dispatch through the barrier.
-func (b *ackBarrier) Shards() int {
-	if sh, ok := b.inner.(transport.ShardedHandler); ok {
-		return sh.Shards()
-	}
-	return 1
-}
-
-// ShardOf forwards the inner handler's message→domain mapping.
-func (b *ackBarrier) ShardOf(msg transport.Message) int {
-	if sh, ok := b.inner.(transport.ShardedHandler); ok {
-		return sh.ShardOf(msg)
-	}
-	return -1
-}
-
-// FastHandle forwards the lock-free read fast path. Fast-path replies
-// skip the barrier entirely, which is sound because the fast path
-// serves reads — it journals nothing, so no ack of its own needs
-// gating, and durable-before-ack only promises that *acked writes*
-// survive.
-func (b *ackBarrier) FastHandle(env transport.Env, from string, msg transport.Message) bool {
-	if f, ok := b.inner.(transport.FastHandler); ok {
-		return f.FastHandle(env, from, msg)
-	}
-	return false
+	b.env.Env, b.env.sends = env, b.env.sends[:0]
+	b.inner.OnTimer(&b.env, tag)
+	b.finish(env)
 }
 
 // finish routes one finished invocation's sends: inline when nothing
-// gates them and the domain's queue is drained, else onto its release
-// queue.
-func (b *ackBarrier) finish(i int, d *ackDomain, env transport.Env) {
-	waits := b.dur.takePending(i)
-	if len(waits) == 0 && d.queued.Load() == 0 {
+// gates them and the queue is drained, else onto the release queue.
+func (b *ackBarrier) finish(env transport.Env) {
+	waits := b.dur.takePending()
+	if len(waits) == 0 && b.queued.Load() == 0 {
 		// queued can only grow on this goroutine, so a drained queue
 		// stays drained for the duration of this fast path.
-		for _, m := range d.env.sends {
+		for _, m := range b.env.sends {
 			env.Send(m.to, m.msg)
 		}
 		return
 	}
 	batch := sendBatch{waits: waits}
-	if len(d.env.sends) > 0 {
-		batch.sends = append([]outMsg(nil), d.env.sends...)
+	if len(b.env.sends) > 0 {
+		batch.sends = append([]outMsg(nil), b.env.sends...)
 	}
-	d.queued.Add(1)
-	d.q <- batch
+	b.queued.Add(1)
+	b.q <- batch
 }
 
-// release drains one domain's queue: wait out each batch's durability,
-// then post its messages. Posting uses Runtime.Post, which is safe off
-// the actor goroutine.
-func (b *ackBarrier) release(d *ackDomain) {
-	defer close(d.done)
-	for batch := range d.q {
+// release drains the queue: wait out each batch's durability, then post
+// its messages. Posting uses Runtime.Post, which is safe off the actor
+// goroutine.
+func (b *ackBarrier) release() {
+	defer close(b.done)
+	for batch := range b.q {
 		b.dur.await(batch.waits)
 		for _, m := range batch.sends {
 			b.post(m.to, m.msg)
 		}
-		d.queued.Add(-1)
+		b.queued.Add(-1)
 	}
 }
 
-// Close drains and stops the release goroutines. Call only after the
+// Close drains and stops the release goroutine. Call only after the
 // transport is closed (no more handler invocations) and before the WAL
 // closes (pending commits must still complete).
 func (b *ackBarrier) Close() {
-	for _, d := range b.doms {
-		close(d.q)
-	}
-	for _, d := range b.doms {
-		<-d.done
-	}
+	close(b.q)
+	<-b.done
 }

@@ -32,17 +32,10 @@ type durability struct {
 	failures   uint64
 	recovering bool
 
-	// pending holds, per execution domain, the durability waits of the
-	// appends journaled since that domain's last takePending. Domain 0 is
-	// the serial actor loop; 1+k is shard k of a sharded node. Each slice
-	// is confined to its domain's goroutine (persistAt and takePending
-	// both run there), so none needs a lock.
-	pending [][]<-chan error
-
-	// laneReplayed counts the records recovery replayed on each WAL
-	// replay lane (lane 0 = serial records, 1+k = shard k). Written
-	// before the actors start, read-only after.
-	laneReplayed []uint64
+	// pending holds the durability waits of the appends journaled since
+	// the last takePending. It is confined to the actor loop (persist
+	// and takePending both run there), so it needs no lock.
+	pending []<-chan error
 
 	stop chan struct{}
 	done chan struct{}
@@ -53,17 +46,7 @@ func openDurability(dir string, policy wal.SyncPolicy, logf func(string, ...any)
 	if err != nil {
 		return nil, err
 	}
-	return &durability{log: log, dir: dir, logf: logf, pending: make([][]<-chan error, 1)}, nil
-}
-
-// setDomains sizes the per-domain pending tables for a sharded node
-// (1 serial domain + the node's shard count). Must run before the
-// node's actors start.
-func (d *durability) setDomains(n int) {
-	if n < 1 {
-		n = 1
-	}
-	d.pending = make([][]<-chan error, n)
+	return &durability{log: log, dir: dir, logf: logf}, nil
 }
 
 // persist journals one protocol record. It is the Persist hook handed
@@ -76,14 +59,6 @@ func (d *durability) setDomains(n int) {
 // lets the WAL committer group many appends under one fsync. During
 // recovery replay persist is a no-op (replay must not re-journal).
 func (d *durability) persist(rec []byte) {
-	d.persistAt(0, rec)
-}
-
-// persistAt is persist for one execution domain of a sharded node: the
-// wait lands in that domain's pending slice, so each shard's ack
-// barrier gates only its own invocations' acks on its own appends.
-// Must run on the domain's executor goroutine.
-func (d *durability) persistAt(domain int, rec []byte) {
 	if d.recovering {
 		return
 	}
@@ -93,23 +68,16 @@ func (d *durability) persistAt(domain int, rec []byte) {
 		return
 	}
 	if done != nil {
-		if domain < 0 || domain >= len(d.pending) {
-			domain = 0
-		}
-		d.pending[domain] = append(d.pending[domain], done)
+		d.pending = append(d.pending, done)
 	}
 }
 
 // takePending returns and clears the durability waits accumulated by
-// persistAt for one domain since the last take. Must run on the
-// domain's executor goroutine, right after the handler invocation
-// whose acks they gate.
-func (d *durability) takePending(domain int) []<-chan error {
-	if domain < 0 || domain >= len(d.pending) {
-		domain = 0
-	}
-	p := d.pending[domain]
-	d.pending[domain] = nil
+// persist since the last take. Must run on the actor loop, right after
+// the handler invocation whose acks they gate.
+func (d *durability) takePending() []<-chan error {
+	p := d.pending
+	d.pending = nil
 	return p
 }
 
@@ -136,13 +104,9 @@ func (d *durability) fail(err error) {
 }
 
 // recover rebuilds node from disk: latest intact checkpoint, then the
-// journaled record suffix. Must run before the node's actor starts.
-// With lanes > 1 the record suffix replays in parallel: route maps each
-// record to its lane (the quorum node's ReplayDomain keys by the
-// record's key hash) and same-lane order is preserved, so per-key replay
-// order — the only order the protocol's state depends on — matches the
-// serial replay exactly.
-func (d *durability) recover(node durableNode, lanes int, route func(rec []byte) int) error {
+// journaled record suffix, in log order. Must run before the node's
+// actor starts.
+func (d *durability) recover(node durableNode) error {
 	d.recovering = true
 	defer func() { d.recovering = false }()
 
@@ -156,32 +120,13 @@ func (d *durability) recover(node durableNode, lanes int, route func(rec []byte)
 		}
 		d.ckptSeq = ckpt
 	}
-	if lanes < 1 || route == nil {
-		lanes = 1
-	}
-	counts := make([]uint64, lanes)
-	err = d.log.ReplaySharded(ckpt+1, lanes,
-		func(seq uint64, rec []byte) int { return route(rec) },
-		func(lane int, seq uint64, rec []byte) error {
-			if err := node.ReplayRecord(rec); err != nil {
-				return fmt.Errorf("replay wal record %d: %w", seq, err)
-			}
-			counts[lane]++ // lane-confined: no two goroutines share an index
-			return nil
-		})
-	d.laneReplayed = counts
-	for _, c := range counts {
-		d.replayed += c
-	}
-	return err
-}
-
-// LaneReplayed returns how many WAL records recovery replayed on each
-// lane (index 0 = serial records, 1+k = shard k). Nil before recovery.
-func (d *durability) LaneReplayed() []uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.laneReplayed
+	return d.log.Replay(ckpt+1, func(seq uint64, rec []byte) error {
+		if err := node.ReplayRecord(rec); err != nil {
+			return fmt.Errorf("replay wal record %d: %w", seq, err)
+		}
+		d.replayed++
+		return nil
+	})
 }
 
 // startCheckpointer periodically captures a state snapshot via capture

@@ -276,32 +276,6 @@ func (h *elasticHandler) OnTimer(env transport.Env, tag any) {
 	h.inner.OnTimer(env, tag)
 }
 
-// Shards, ShardOf, and FastHandle forward the quorum node's sharded
-// dispatch declaration through the wrapper, so the transport still
-// discovers it. Membership messages hit the protocol node's ShardOf
-// default case (-1) and stay on the serial loop, which is what lets
-// OnMessage above touch epoch state without extra locking.
-func (h *elasticHandler) Shards() int {
-	if sh, ok := h.inner.(transport.ShardedHandler); ok {
-		return sh.Shards()
-	}
-	return 1
-}
-
-func (h *elasticHandler) ShardOf(msg transport.Message) int {
-	if sh, ok := h.inner.(transport.ShardedHandler); ok {
-		return sh.ShardOf(msg)
-	}
-	return -1
-}
-
-func (h *elasticHandler) FastHandle(env transport.Env, from string, msg transport.Message) bool {
-	if f, ok := h.inner.(transport.FastHandler); ok {
-		return f.FastHandle(env, from, msg)
-	}
-	return false
-}
-
 // livePlacement routes quorum placement through the node's current
 // membership epoch instead of the boot-time ring.
 type livePlacement struct{ s *Server }
@@ -510,11 +484,8 @@ func (s *Server) installUpdate(env transport.Env, m ringUpdate) bool {
 
 	s.tcp.SetPeers(addrsCopy)
 	s.qnode.SetMembers(members)
-	for i, gwID := range s.gwIDs {
-		gw := s.gwQuorum[i]
-		gwMembers := append([]string(nil), members...)
-		s.tcp.Invoke(gwID, func(transport.Env) { gw.Nodes = gwMembers })
-	}
+	gwMembers := append([]string(nil), members...)
+	s.tcp.Invoke(s.gwID, func(transport.Env) { s.gwQuorum.Nodes = gwMembers })
 	s.logf("server %s: installed membership epoch %d (members=%v joining=%q leaving=%q settled=%v)",
 		s.cfg.ID, m.Seq, members, m.Joining, m.Leaving, m.Settled)
 	return true
@@ -949,12 +920,9 @@ type RingStatus struct {
 	MintedDots    uint64   `json:"minted_dots"`
 	// Zone is the node's declared zone ("" = unzoned).
 	Zone string `json:"zone,omitempty"`
-	// Shards is the node's execution shard count (1 = unsharded).
-	Shards int `json:"shards,omitempty"`
-	// ReplayedByLane reports how many WAL records boot recovery replayed
-	// on each parallel replay lane: index 0 is the serial lane, 1+k is
-	// shard k. Empty when the node is not durable or replayed nothing.
-	ReplayedByLane []uint64 `json:"replayed_by_lane,omitempty"`
+	// Replayed is how many WAL records boot recovery replayed (0 when
+	// the node is not durable).
+	Replayed uint64 `json:"replayed,omitempty"`
 }
 
 func (s *Server) handleRingStatus() Response {
@@ -965,11 +933,10 @@ func (s *Server) handleRingStatus() Response {
 	st := RingStatus{
 		Node: s.cfg.ID, State: mode, Epoch: seq, Members: members,
 		TransferDone: done, TransferTotal: total,
-		Zone:   s.cfg.Zone,
-		Shards: s.qnode.Shards(),
+		Zone: s.cfg.Zone,
 	}
 	if s.dur != nil {
-		st.ReplayedByLane = s.dur.LaneReplayed()
+		st.Replayed = s.dur.Replayed()
 	}
 	captured := make(chan struct{})
 	if s.tcp.Invoke(s.cfg.ID, func(transport.Env) {

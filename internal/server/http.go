@@ -9,8 +9,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/lsm"
 )
 
 // startHTTP binds the metrics/health listener and serves in the
@@ -166,25 +164,12 @@ func (s *Server) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 		gauge("ec_wal_disk_bytes", "On-disk footprint of the WAL segments.", uint64(s.dur.log.DiskBytes()))
 	}
 
-	if len(s.lsmEngines) > 0 {
-		// Aggregate across the per-shard trees: operators care about the
-		// node's disk footprint and compaction churn, not shard layout.
-		var agg lsm.Stats
-		for _, e := range s.lsmEngines {
-			st := e.Stats()
-			agg.SSTables += st.SSTables
-			agg.DiskBytes += st.DiskBytes
-			agg.MemtableBytes += st.MemtableBytes
-			agg.Flushes += st.Flushes
-			agg.Compactions += st.Compactions
-			agg.BloomMisses += st.BloomMisses
-			agg.BlockReads += st.BlockReads
-			agg.ReadErrors += st.ReadErrors
-		}
+	if s.lsmEngine != nil {
+		agg := s.lsmEngine.Stats()
 		lsmGauge := func(name, help string, v uint64) {
 			fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
 		}
-		lsmGauge("ec_lsm_sstables", "Immutable SSTable runs across all storage shards.", uint64(agg.SSTables))
+		lsmGauge("ec_lsm_sstables", "Immutable SSTable runs in the LSM storage engine.", uint64(agg.SSTables))
 		lsmGauge("ec_lsm_disk_bytes", "On-disk footprint of the LSM storage engine.", uint64(agg.DiskBytes))
 		lsmGauge("ec_lsm_memtable_bytes", "Resident size of the mutable memtables.", uint64(agg.MemtableBytes))
 		counter("ec_lsm_flushes_total", "Memtable flushes to SSTables.", agg.Flushes)
@@ -254,15 +239,10 @@ func (s *Server) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 		}
 	}
 
-	if sts := s.tcp.ShardStats(s.cfg.ID); len(sts) > 0 {
-		fmt.Fprintf(&b, "# HELP ec_shard_queue_depth Events waiting in each execution shard's mailbox.\n# TYPE ec_shard_queue_depth gauge\n")
-		for i, st := range sts {
-			fmt.Fprintf(&b, "ec_shard_queue_depth{shard=\"%d\"} %d\n", i, st.Depth)
-		}
-		fmt.Fprintf(&b, "# HELP ec_shard_ops_total Messages processed by (or fast-handled for) each execution shard.\n# TYPE ec_shard_ops_total counter\n")
-		for i, st := range sts {
-			fmt.Fprintf(&b, "ec_shard_ops_total{shard=\"%d\"} %d\n", i, st.Ops)
-		}
+	if st, ok := s.tcp.MailboxStats(s.cfg.ID); ok {
+		// The storage node runs one actor loop, exported as shard 0.
+		fmt.Fprintf(&b, "# HELP ec_shard_queue_depth Events waiting in the storage actor's mailbox.\n# TYPE ec_shard_queue_depth gauge\nec_shard_queue_depth{shard=\"0\"} %d\n", st.Depth)
+		fmt.Fprintf(&b, "# HELP ec_shard_ops_total Messages processed by the storage actor loop.\n# TYPE ec_shard_ops_total counter\nec_shard_ops_total{shard=\"0\"} %d\n", st.Ops)
 	}
 
 	cur := s.curRing()

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -71,16 +70,9 @@ type Config struct {
 	// TransferBatch bounds one transfer batch's payload bytes (0 =
 	// protocol default). Quorum model only.
 	TransferBatch int
-	// Shards splits the quorum node's replica state into this many
-	// key-range execution shards, each drained by its own goroutine, so
-	// requests for disjoint key ranges execute on separate cores (the
-	// protocol rounds the count up to a power of two). 0 defaults to
-	// GOMAXPROCS; 1 disables sharding and restores the classic single
-	// actor loop. Quorum model only.
-	Shards int
 	// Engine selects the storage engine backing replica state: "mem"
-	// (default) keeps it in memory, "lsm" puts each shard on a
-	// disk-resident log-structured merge tree under DataDir/lsm/.
+	// (default) keeps it in memory, "lsm" puts it in a disk-resident
+	// log-structured merge tree under DataDir/lsm/.
 	// "lsm" requires the quorum model and a DataDir (the WAL is the
 	// engine's redo log: the LSM keeps no log of its own, so a crash
 	// loses only its memtable, which replay re-installs).
@@ -111,23 +103,23 @@ type Server struct {
 	dir    *resilience.Directory
 	policy *resilience.Policy
 
-	gwQuorum   []*quorum.Client // quorum model: gateway actors' clients (one per shard)
-	gwIDs      []string
-	lsmEngines []*lsm.Engine // Engine "lsm": per-shard trees, for metrics and close
-	gossipN    *gossip.Node  // gossip model: ops run on the storage actor itself
-	qnode      *quorum.Node  // quorum model: the storage actor's protocol node
-	qN         int           // quorum model: replication factor
-	el         *elastic      // quorum model: live membership state
-	dur        *durability   // nil unless Config.DataDir set
-	ackB       *ackBarrier   // nil unless durable: holds acks until fsync
-	httpLn     net.Listener
-	statMu     sync.Mutex        // guards reqOps, reqErrs and reqLat
-	reqOps     *metrics.Counters // requests served, keyed by Request.Op
-	reqErrs    uint64
-	reqLat     *metrics.Histogram
-	connSeq    uint64
-	connMu     sync.Mutex
-	closeOnce  sync.Once
+	gwQuorum  *quorum.Client // quorum model: the gateway actor's client
+	gwID      string
+	lsmEngine *lsm.Engine  // Engine "lsm": the replica-state tree, for metrics and close
+	gossipN   *gossip.Node // gossip model: ops run on the storage actor itself
+	qnode     *quorum.Node // quorum model: the storage actor's protocol node
+	qN        int          // quorum model: replication factor
+	el        *elastic     // quorum model: live membership state
+	dur       *durability  // nil unless Config.DataDir set
+	ackB      *ackBarrier  // nil unless durable: holds acks until fsync
+	httpLn    net.Listener
+	statMu    sync.Mutex        // guards reqOps, reqErrs and reqLat
+	reqOps    *metrics.Counters // requests served, keyed by Request.Op
+	reqErrs   uint64
+	reqLat    *metrics.Histogram
+	connSeq   uint64
+	connMu    sync.Mutex
+	closeOnce sync.Once
 
 	// booted is set just before ready closes iff New succeeded; the
 	// channel close orders the write for the parked handlers.
@@ -308,13 +300,6 @@ func New(cfg Config) (*Server, error) {
 			addrs: addrs,
 			zones: zones,
 		}
-		shards := cfg.Shards
-		if shards == 0 {
-			shards = runtime.GOMAXPROCS(0)
-		}
-		if shards < 1 {
-			shards = 1
-		}
 		qcfg := quorum.Config{
 			Ring:          ringMembers,
 			N:             n,
@@ -330,68 +315,48 @@ func New(cfg Config) (*Server, error) {
 			OnStaleRing:   s.onStaleRing,
 			TransferRate:  cfg.TransferRate,
 			TransferBatch: cfg.TransferBatch,
-			Shards:        shards,
 			Zone:          cfg.Zone,
 			Zones:         cfg.Zones,
 			GeoAsync:      cfg.GeoAsync,
 		}
 		if s.dur != nil {
-			// The sharded persist hook: each execution domain's records
-			// land in that domain's pending table, so every shard's ack
-			// barrier gates on exactly its own appends.
-			qcfg.PersistAt = s.dur.persistAt
+			qcfg.Persist = s.dur.persist
 		}
 		if cfg.Engine == "lsm" {
-			// One LSM tree per replica shard under DataDir/lsm/, opened
-			// up front so a bad directory fails New instead of panicking
-			// inside the protocol constructor. Async background
-			// compaction: the real server has no determinism constraint,
-			// and merges should not stall the shard's write path.
-			// Flushed state survives restarts; the unflushed memtable is
-			// re-installed by WAL replay below.
-			nShards := storage.NewShardRouter(shards).Shards()
-			for i := 0; i < nShards; i++ {
-				e, err := lsm.Open(lsm.Options{
-					Dir:   filepath.Join(cfg.DataDir, "lsm", fmt.Sprintf("shard-%d", i)),
-					Async: true,
-					Logf:  cfg.Logf,
-				})
-				if err != nil {
-					for _, open := range s.lsmEngines {
-						open.Close()
-					}
-					if s.dur != nil {
-						s.dur.Close()
-					}
-					tcp.Close()
-					return nil, fmt.Errorf("server %s: open lsm shard %d: %w", cfg.ID, i, err)
+			// The LSM tree lives under DataDir/lsm/, opened up front so
+			// a bad directory fails New instead of panicking inside the
+			// protocol constructor. Async background compaction: the
+			// real server has no determinism constraint, and merges
+			// should not stall the write path. Flushed state survives
+			// restarts; the unflushed memtable is re-installed by WAL
+			// replay below.
+			e, err := lsm.Open(lsm.Options{
+				Dir:   filepath.Join(cfg.DataDir, "lsm"),
+				Async: true,
+				Logf:  cfg.Logf,
+			})
+			if err != nil {
+				if s.dur != nil {
+					s.dur.Close()
 				}
-				s.lsmEngines = append(s.lsmEngines, e)
+				tcp.Close()
+				return nil, fmt.Errorf("server %s: open lsm: %w", cfg.ID, err)
 			}
-			qcfg.Storage = func(shard int) storage.Engine { return s.lsmEngines[shard] }
+			s.lsmEngine = e
+			qcfg.Storage = func(int) storage.Engine { return e }
 		}
 		qn := quorum.NewNode(cfg.ID, qcfg)
 		s.qnode = qn
-		if s.dur != nil {
-			s.dur.setDomains(qn.Shards() + 1)
-		}
 		node, handler = qn, qn
 	case "session":
 		sn := session.NewServer(cfg.ID, session.ServerConfig{Peers: others, Persist: persist})
 		node, handler = sn, sn
 	}
 
-	// Recover from disk BEFORE the actor boots: a sharded quorum node
-	// replays in parallel — each key's records on the owning shard's
-	// lane, cross-cutting records on the serial lane — and the node
-	// rejoins the ring already holding every write it ever acknowledged.
+	// Recover from disk BEFORE the actor boots, so the node rejoins the
+	// ring already holding every write it ever acknowledged.
 	if s.dur != nil {
-		lanes, route := 1, (func(rec []byte) int)(nil)
-		if qn := s.qnode; qn != nil && qn.Shards() > 1 {
-			lanes = qn.Shards() + 1
-			route = func(rec []byte) int { return qn.ReplayDomain(rec) + 1 }
-		}
-		if err := s.dur.recover(node, lanes, route); err != nil {
+		if err := s.dur.recover(node); err != nil {
 			s.dur.Close()
 			tcp.Close()
 			return nil, fmt.Errorf("server %s: recovery from %s: %w", cfg.ID, cfg.DataDir, err)
@@ -408,34 +373,21 @@ func New(cfg Config) (*Server, error) {
 	// their records' group commit lands, so the loop keeps appending
 	// while the disk works.
 	if s.dur != nil {
-		domains := 1
-		if s.qnode != nil {
-			domains = s.qnode.Shards() + 1
-		}
-		s.ackB = newAckBarrier(handler, s.dur, domains, func(to string, msg transport.Message) {
+		s.ackB = newAckBarrier(handler, s.dur, func(to string, msg transport.Message) {
 			tcp.Post(cfg.ID, to, msg)
 		})
 		handler = s.ackB
 	}
 	tcp.AddNode(cfg.ID, handler)
 	if cfg.Model == "quorum" {
-		// Gateway actors host the protocol clients; connection handlers
-		// funnel operations onto their loops with Invoke. A sharded node
-		// runs one gateway per shard — keyed the same way as the replica
-		// shards — so client-side coordination fans across cores too
-		// instead of serializing on a single gateway loop.
-		ng := s.qnode.Shards()
-		s.gwIDs = make([]string, ng)
-		s.gwQuorum = make([]*quorum.Client, ng)
-		for i := range s.gwIDs {
-			id := fmt.Sprintf("%s#gw%d", cfg.ID, i)
-			c := quorum.NewClient(id)
-			c.Nodes = ringMembers
-			c.Policy = policy
-			c.Directory = s.dir
-			s.gwIDs[i], s.gwQuorum[i] = id, c
-			tcp.AddNode(id, c)
-		}
+		// A gateway actor hosts the protocol client; connection handlers
+		// funnel operations onto its loop with Invoke.
+		s.gwID = cfg.ID + "#gw"
+		s.gwQuorum = quorum.NewClient(s.gwID)
+		s.gwQuorum.Nodes = ringMembers
+		s.gwQuorum.Policy = policy
+		s.gwQuorum.Directory = s.dir
+		tcp.AddNode(s.gwID, s.gwQuorum)
 	}
 	if s.dur != nil && cfg.CheckpointInterval >= 0 {
 		interval := cfg.CheckpointInterval
@@ -445,11 +397,8 @@ func New(cfg Config) (*Server, error) {
 		// Capture (state, WAL seq) on the storage actor's loop. The seq
 		// is read BEFORE the snapshot: a record journaled by seq-read
 		// time had its mutation applied first (same goroutine), so the
-		// snapshot — which locks each shard after that — contains every
-		// mutation the covered prefix holds. Shard goroutines may append
-		// past seq while the capture runs; those mutations land in the
-		// snapshot early, and their records survive truncation and
-		// re-apply idempotently. The snapshot write itself runs off-loop.
+		// snapshot contains every mutation the covered prefix holds. The
+		// snapshot write itself runs off-loop.
 		s.dur.startCheckpointer(interval, func() ([]byte, uint64, bool) {
 			var state []byte
 			var seq uint64
@@ -785,7 +734,7 @@ func (s *Server) handleGossip(req Request) Response {
 			o.resp = Response{OK: true, Value: v, Found: found}
 		}
 		if s.dur != nil {
-			o.waits = s.dur.takePending(0)
+			o.waits = s.dur.takePending()
 		}
 		done <- o
 	})
@@ -803,9 +752,8 @@ func (s *Server) handleGossip(req Request) Response {
 	}
 }
 
-// handleQuorum funnels the operation through a gateway actor's quorum
-// client — the key's shard picks the gateway, so disjoint key ranges
-// use disjoint gateway loops. The coordinator is the key's ring owner —
+// handleQuorum funnels the operation through the gateway actor's quorum
+// client. The coordinator is the key's ring owner —
 // requests for a key land on its primary replica, and the client's
 // resilience layer fails over if that node is down. An SLA get may
 // instead route to an in-zone replica with a sub-quorum read (see
@@ -813,13 +761,9 @@ func (s *Server) handleGossip(req Request) Response {
 // node's measured cross-zone staleness at serve time.
 func (s *Server) handleQuorum(req Request) Response {
 	tier, rOverride, coord, staleMs := s.slaRoute(req)
-	gi := 0
-	if len(s.gwIDs) > 1 {
-		gi = s.qnode.Router().Shard(req.Key)
-	}
-	gwID, gw := s.gwIDs[gi], s.gwQuorum[gi]
+	gw := s.gwQuorum
 	done := make(chan Response, 1)
-	ok := s.tcp.Invoke(gwID, func(env transport.Env) {
+	ok := s.tcp.Invoke(s.gwID, func(env transport.Env) {
 		switch req.Op {
 		case "put":
 			gw.Put(env, coord, req.Key, req.Value, func(r quorum.PutResult) {

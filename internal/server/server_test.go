@@ -250,10 +250,17 @@ func TestMetricsEndpointRenders(t *testing.T) {
 		`ec_requests_total{op="put"} 1`,
 		"ec_request_seconds{quantile=\"0.99\"}",
 		`ec_peer_phi{peer="node1"}`,
+		`ec_shard_queue_depth{shard="0"} `,
+		`ec_shard_ops_total{shard="0"} `,
 	} {
 		if !bytes.Contains(body, []byte(want)) {
 			t.Fatalf("metrics missing %q:\n%s", want, body)
 		}
+	}
+	// The put ran through node0's actor loop, so its processed-message
+	// count is positive.
+	if bytes.Contains(body, []byte(`ec_shard_ops_total{shard="0"} 0`+"\n")) {
+		t.Fatalf("storage actor reports no processed messages:\n%s", body)
 	}
 	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
 		t.Fatalf("metrics content type %q", ct)

@@ -41,7 +41,7 @@ func Run(t *testing.T, factory Factory) {
 }
 
 // testPutCopiesValue pins the ownership rule on storage.Engine: Put
-// stores a copy, so a caller reusing its buffer — the quorum shard
+// stores a copy, so a caller reusing its buffer — the quorum node
 // encodes every sibling set into one scratch buffer — never changes a
 // stored version, whether read live, at a sequence, or by scan.
 func testPutCopiesValue(t *testing.T, factory Factory) {

@@ -48,14 +48,19 @@ func (m *Merkle) Depth() int { return m.depth }
 // Leaves returns the number of leaf buckets.
 func (m *Merkle) Leaves() int { return 1 << m.depth }
 
+// KeyHash exposes the key hash the Merkle tree buckets by, for callers
+// that persist it (WAL record headers) or build on it (LSM bloom
+// filters).
+func KeyHash(key string) uint64 { return hashKey(key) }
+
 func hashKey(key string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(key))
 	v := h.Sum64()
-	// Both Merkle bucketing and shard routing take the TOP bits of this
-	// hash, but FNV-1a's final multiply barely disturbs them for short
-	// keys — sequential keys like "user-1..n" land in a handful of
-	// buckets and starve whole shards. Finish with a full 64-bit
+	// Merkle bucketing takes the TOP bits of this hash, but FNV-1a's
+	// final multiply barely disturbs them for short keys — sequential
+	// keys like "user-1..n" land in a handful of buckets. Finish with a
+	// full 64-bit
 	// avalanche (the murmur3 fmix64 constants) so every output bit
 	// depends on every input byte.
 	v ^= v >> 33

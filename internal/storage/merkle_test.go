@@ -140,3 +140,19 @@ func TestMerkleComparisonCostScalesWithDivergence(t *testing.T) {
 		t.Fatalf("diff = %v, want exactly one bucket", diff)
 	}
 }
+
+// TestMerkleBucketIsTopBitsOfKeyHash pins the relation WAL record
+// headers and LSM bloom filters rely on: KeyHash is the hash the tree
+// buckets by, so a key's bucket is the top depth bits of KeyHash(key).
+func TestMerkleBucketIsTopBitsOfKeyHash(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	for _, depth := range []int{1, 4, 10} {
+		m := NewMerkle(depth)
+		for i := 0; i < 2000; i++ {
+			key := fmt.Sprintf("key-%d-%d", i, rng.Intn(1<<20))
+			if got, want := m.Bucket(key), int(KeyHash(key)>>(64-uint(depth))); got != want {
+				t.Fatalf("depth=%d key=%q: bucket %d, want top bits of KeyHash %d", depth, key, got, want)
+			}
+		}
+	}
+}

@@ -99,7 +99,7 @@ func (l *Loopback) linkDelay(from, to string) time.Duration {
 }
 
 // zoneKey maps a node id to the id that carries its zone: gateway and
-// client actors ("node1#gw0") ride their storage node's zone.
+// client actors ("node1#gw") ride their storage node's zone.
 func zoneKey(id string) string {
 	for i := 0; i < len(id); i++ {
 		if id[i] == '#' {
@@ -130,7 +130,7 @@ func (l *Loopback) ClearLinkLatency(from, to string) {
 
 // SetZoneLatency declares latency classes over a node -> zone map:
 // sends between same-zone nodes take intra one way, cross-zone sends
-// take cross. Gateway ids ("node#gwN") inherit their node's zone; ids
+// take cross. Gateway ids ("node#gw") inherit their node's zone; ids
 // absent from zones share the empty zone. Passing a nil map reverts to
 // the uniform jitter range.
 func (l *Loopback) SetZoneLatency(zones map[string]string, intra, cross time.Duration) {

@@ -56,6 +56,13 @@ func (m *mailbox) take() (procEvent, bool) {
 	return ev, true
 }
 
+// depth reports the number of queued events.
+func (m *mailbox) depth() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.queue)
+}
+
 func (m *mailbox) close() {
 	m.mu.Lock()
 	m.closed = true
@@ -92,15 +99,7 @@ type proc struct {
 	rt  *Runtime
 	box *mailbox
 	rng *rand.Rand
-
-	// Sharded dispatch (sharded.go). sh/fast are the handler's optional
-	// capabilities, detected once at AddNode; shards holds the per-shard
-	// execution domains; upFast gates the lock-free fast path from
-	// delivering goroutines (the serial loop is its only writer).
-	sh     ShardedHandler
-	fast   FastHandler
-	shards []*shardLoop
-	upFast atomic.Bool
+	ops atomic.Uint64 // messages handed to the handler
 
 	// Loop-confined state (the actor goroutine is the only toucher).
 	up     bool
@@ -114,9 +113,9 @@ type proc struct {
 // the contract only promises validity during an invocation.
 type penv struct{ p *proc }
 
-func (e penv) ID() string          { return e.p.id }
-func (e penv) Now() time.Duration  { return e.p.rt.Now() }
-func (e penv) Rand() *rand.Rand    { return e.p.rng }
+func (e penv) ID() string         { return e.p.id }
+func (e penv) Now() time.Duration { return e.p.rt.Now() }
+func (e penv) Rand() *rand.Rand   { return e.p.rng }
 func (e penv) Send(to string, msg Message) {
 	e.p.rt.send(e.p.id, to, msg)
 }
@@ -155,11 +154,9 @@ func (p *proc) loop() {
 		switch ev.kind {
 		case pevStart:
 			p.up = true
-			p.upFast.Store(true)
 			p.h.OnStart(env)
 		case pevCrash:
 			p.up = false
-			p.upFast.Store(false)
 			p.epoch++
 			for id, t := range p.timers {
 				t.Stop()
@@ -167,6 +164,7 @@ func (p *proc) loop() {
 			}
 		case pevMessage:
 			if p.up {
+				p.ops.Add(1)
 				p.h.OnMessage(env, ev.from, ev.msg)
 			}
 		case pevTimer:
@@ -255,19 +253,8 @@ func (r *Runtime) AddNode(id string, h Handler) {
 		timers: make(map[TimerID]*time.Timer),
 		done:   make(chan struct{}),
 	}
-	if sh, ok := h.(ShardedHandler); ok && sh.Shards() > 1 {
-		p.sh = sh
-		p.shards = newShardLoops(p, sh.Shards())
-		if f, ok := h.(FastHandler); ok {
-			p.fast = f
-		}
-	}
 	r.procs[id] = p
 	p.box.put(procEvent{kind: pevStart})
-	for _, sl := range p.shards {
-		sl.box.put(procEvent{kind: pevStart})
-		go sl.loop()
-	}
 	go p.loop()
 }
 
@@ -280,13 +267,7 @@ func (r *Runtime) RemoveNode(id string) {
 	r.mu.Unlock()
 	if p != nil {
 		p.box.close()
-		for _, sl := range p.shards {
-			sl.box.close()
-		}
 		<-p.done
-		for _, sl := range p.shards {
-			<-sl.done
-		}
 	}
 }
 
@@ -335,7 +316,7 @@ func (r *Runtime) send(from, to string, msg Message) {
 				return
 			}
 		}
-		if r.dispatch(p, from, msg) {
+		if p.box.put(procEvent{kind: pevMessage, from: from, msg: msg}) {
 			r.stats.add(func(s *Stats) { s.MessagesDelivered++ })
 		} else {
 			r.stats.add(func(s *Stats) { s.MessagesDropped++ })
@@ -354,7 +335,7 @@ func (r *Runtime) deliver(from, to string, msg Message) bool {
 	r.mu.Lock()
 	p := r.procs[to]
 	r.mu.Unlock()
-	if p == nil || !r.dispatch(p, from, msg) {
+	if p == nil || !p.box.put(procEvent{kind: pevMessage, from: from, msg: msg}) {
 		r.stats.add(func(s *Stats) { s.MessagesDropped++ })
 		return false
 	}
@@ -371,6 +352,24 @@ func (r *Runtime) Nodes() []string {
 		out = append(out, id)
 	}
 	return out
+}
+
+// MailboxStat is one node's actor-loop accounting.
+type MailboxStat struct {
+	Depth int    // events waiting in the node's mailbox
+	Ops   uint64 // messages the loop has handed to the handler
+}
+
+// MailboxStats returns node id's mailbox depth and processed-message
+// count; ok is false when the node is not hosted here.
+func (r *Runtime) MailboxStats(id string) (st MailboxStat, ok bool) {
+	r.mu.Lock()
+	p := r.procs[id]
+	r.mu.Unlock()
+	if p == nil {
+		return MailboxStat{}, false
+	}
+	return MailboxStat{Depth: p.box.depth(), Ops: p.ops.Load()}, true
 }
 
 // Has reports whether id is hosted here.
@@ -400,15 +399,9 @@ func (r *Runtime) Close() {
 	r.mu.Unlock()
 	for _, p := range procs {
 		p.box.close()
-		for _, sl := range p.shards {
-			sl.box.close()
-		}
 	}
 	for _, p := range procs {
 		<-p.done
-		for _, sl := range p.shards {
-			<-sl.done
-		}
 	}
 }
 
@@ -420,9 +413,6 @@ func (r *Runtime) crash(id string) {
 	r.mu.Unlock()
 	if p != nil {
 		p.box.put(procEvent{kind: pevCrash})
-		for _, sl := range p.shards {
-			sl.box.put(procEvent{kind: pevCrash})
-		}
 	}
 }
 
@@ -432,9 +422,6 @@ func (r *Runtime) restart(id string) {
 	r.mu.Unlock()
 	if p != nil {
 		p.box.put(procEvent{kind: pevStart})
-		for _, sl := range p.shards {
-			sl.box.put(procEvent{kind: pevStart})
-		}
 	}
 }
 
@@ -463,4 +450,3 @@ func (c *statsCell) snapshot() Stats {
 	defer c.mu.Unlock()
 	return c.s
 }
-

@@ -328,3 +328,42 @@ func TestLoopbackManyNodesConcurrentTraffic(t *testing.T) {
 		return total == nodes*per
 	}, "all cross-node replies")
 }
+
+// gateNode blocks its loop on the first message until release closes,
+// so later messages queue up in the mailbox.
+type gateNode struct {
+	release chan struct{}
+	once    sync.Once
+}
+
+func (g *gateNode) OnStart(Env)      {}
+func (g *gateNode) OnTimer(Env, any) {}
+func (g *gateNode) OnMessage(Env, string, Message) {
+	g.once.Do(func() { <-g.release })
+}
+
+// TestShardStatsCountOps pins the mailbox accounting the server exports
+// as ec_shard_queue_depth / ec_shard_ops_total: queued events while the
+// loop is busy, and messages handed to the handler.
+func TestShardStatsCountOps(t *testing.T) {
+	rt := NewRuntime(1)
+	defer rt.Close()
+	g := &gateNode{release: make(chan struct{})}
+	rt.AddNode("n", g)
+	rt.AddNode("src", &echoNode{})
+	for i := 0; i < 10; i++ {
+		rt.Post("src", "n", echoMsg{N: i})
+	}
+	waitFor(t, 2*time.Second, func() bool {
+		st, _ := rt.MailboxStats("n")
+		return st.Ops == 1 && st.Depth == 9
+	}, "nine messages queued behind the blocked one")
+	close(g.release)
+	waitFor(t, 2*time.Second, func() bool {
+		st, _ := rt.MailboxStats("n")
+		return st.Ops == 10 && st.Depth == 0
+	}, "mailbox drained")
+	if _, ok := rt.MailboxStats("ghost"); ok {
+		t.Fatal("unknown node reported mailbox stats")
+	}
+}

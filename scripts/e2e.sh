@@ -136,10 +136,10 @@ rm -rf .ecctl
 
 echo
 echo "== lsm engine: disk-resident replica state behind the same protocol"
-# One execution shard per node funnels every write into one engine, so a
-# short bench with fat values reliably overflows the 4MiB memtable and
-# forces flushes + tier compactions.
-./ecctl up -n 3 -model quorum -engine lsm -shards 1
+# Each node funnels every write into its one engine, so a short bench
+# with fat values reliably overflows the 4MiB memtable and forces
+# flushes + tier compactions.
+./ecctl up -n 3 -model quorum -engine lsm
 ./ecctl status | grep 'lsm=' >/dev/null || { echo "FAIL: status does not show lsm disk usage" >&2; ./ecctl status >&2; exit 1; }
 ./ecctl smoke
 # This bench deliberately overdrives a small host so the memtable
